@@ -40,6 +40,23 @@ void TupleEvaluator::Refresh() {
   }
 }
 
+bool TupleEvaluator::SettlesUnfunded() const {
+  // Each condition keeps the shortcut exact:
+  //  * funding closed: the next paid ask is refused, and stays refused;
+  //  * one crowd attribute with P2 and transitivity: the refresh leaves no
+  //    two members with a known relation (|AC| > 1 can leave a
+  //    known-incomparable pair, which the walk consumes for free);
+  //  * no unresolved question: the walk would skip such a pair for free;
+  //  * no seeded answer: every cached answer is already in the graph, so
+  //    no probe pair is a free cache hit;
+  //  * P3 and |DS(t)| >= 2: the walk starts with a probe pair, not with a
+  //    (s, t) query whose relation may already be known.
+  return session_->FundingClosed() && knowledge_->num_attrs() == 1 &&
+         pruning_.use_p2 && pruning_.use_p3 && pruning_.use_transitivity &&
+         session_->stats().unresolved_questions == 0 &&
+         session_->seeded_answers() == 0 && ds_.Count() >= 2;
+}
+
 void TupleEvaluator::BuildProbePairs() {
   const std::vector<int> members = Members();
   probe_pairs_.clear();
@@ -106,6 +123,19 @@ bool TupleEvaluator::Step() {
   CROWDSKY_CHECK_MSG(!done(), "Step() called on a completed evaluator");
   if (phase_ == Phase::kInit) {
     Refresh();
+    if (SettlesUnfunded()) {
+      // Every pair of members is unknown, so any of them stands in for the
+      // walk's first probe pair: the ask is refused before the pair or its
+      // frequency is used, counting the same denial and free lookup.
+      const auto u = ds_.FindFirst();
+      const auto v = ds_.FindNext(u + 1);
+      AskPair(static_cast<int>(u), static_cast<int>(v),
+              structure_.Frequency(static_cast<int>(u), static_cast<int>(v)),
+              AskMode::kProbe);
+      CROWDSKY_DCHECK(budget_aborted_);
+      Finalize(/*is_skyline=*/true);  // nothing has proven t dominated
+      return false;
+    }
     if (pruning_.use_p3) BuildProbePairs();
     phase_ = Phase::kProbe;
   }

@@ -20,6 +20,14 @@
 // current (possibly incomplete) state: in the skyline unless already
 // proven dominated.
 //
+// Once the run's funding has closed (CrowdSession::FundingClosed) and the
+// run asks about a single crowd attribute with P2, P3 and transitivity on,
+// a tuple with |DS(t)| >= 2 after the refresh is settled without building
+// its probe pairs: P2 leaves no two surviving dominators with a known
+// relation, so whichever pair the frequency order puts first is refused.
+// The evaluator asks one pair, takes that refusal and finalizes, with the
+// same denial and free-lookup accounting as the full walk.
+//
 // Under a fault plan a question can come back *unresolved* (its retry cap
 // ran dry). The evaluator degrades instead of aborting: an unresolved
 // probe pair only costs pruning power and is skipped; an unresolved query
@@ -101,6 +109,9 @@ class TupleEvaluator {
 
   /// P1 + P2 refresh of the current dominating-set members.
   void Refresh();
+  /// True when, right after the initial refresh, the probe walk could only
+  /// end in a refused ask at its first pair (see the file comment).
+  bool SettlesUnfunded() const;
   void BuildProbePairs();
   /// Asks crowd-attribute questions for (u, v) per the multi-attribute
   /// strategy; records answers; sets budget_aborted_ when the session's

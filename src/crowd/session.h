@@ -155,6 +155,16 @@ class CrowdSession {
             governor_->CanFundQuestion(open_round_questions_));
   }
 
+  /// True when this run can pay for nothing more: no journal credit is
+  /// left to replay, and either the question budget is spent or the
+  /// governor has latched its stop. Unlike CanAsk() it never consults the
+  /// governor, so it counts no denial. Once true it stays true: credits
+  /// and budget are only consumed and the governor's stop is sticky.
+  bool FundingClosed() const {
+    return credits_.empty() &&
+           (!BudgetCanAsk() || (governor_ != nullptr && governor_->stopped()));
+  }
+
   /// Configures the retry/requeue behaviour for failed attempts.
   /// Fresh-session-only, like SetQuestionBudget: the retry cap shapes
   /// journal records and the governor's worst-case reservation, so it

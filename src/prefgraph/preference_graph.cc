@@ -44,13 +44,18 @@ void PreferenceGraph::InsertEdgeClosure(int ru, int rv) {
   // Every ancestor of u (and u itself) now reaches v and v's descendants;
   // every descendant of v (and v itself) is now reached from u and u's
   // ancestors. anc_[u] / desc_[v] are not modified by the opposite loop, so
-  // no snapshots are needed.
+  // no snapshots are needed. Italiano's pruning: by the row invariant, an
+  // ancestor row that already holds v already holds desc_[v], and a
+  // descendant row that already holds u already holds anc_[u], so neither
+  // needs the OR.
   desc_[u].OrWithAndSet(desc_[v], v);
-  anc_[u].ForEachSetBit(
-      [this, v](size_t a) { desc_[a].OrWithAndSet(desc_[v], v); });
+  anc_[u].ForEachSetBit([this, v](size_t a) {
+    if (!desc_[a].Test(v)) desc_[a].OrWithAndSet(desc_[v], v);
+  });
   anc_[v].OrWithAndSet(anc_[u], u);
-  desc_[v].ForEachSetBit(
-      [this, u](size_t d) { anc_[d].OrWithAndSet(anc_[u], u); });
+  desc_[v].ForEachSetBit([this, u](size_t d) {
+    if (!anc_[d].Test(u)) anc_[d].OrWithAndSet(anc_[u], u);
+  });
 }
 
 Status PreferenceGraph::AddPreference(int u, int v) {

@@ -86,6 +86,10 @@ class PreferenceGraph {
   // Union-find parent; mutable for path halving in const lookups.
   mutable std::vector<int> parent_;
   // Closure rows, indexed by representative; bits are representative ids.
+  // Row invariant (transitivity): a row desc_[a] containing v also
+  // contains all of desc_[v], and a row anc_[d] containing u also contains
+  // all of anc_[u]. InsertEdgeClosure relies on it to skip rows that
+  // already hold the new edge's endpoint.
   std::vector<DynamicBitset> desc_;
   std::vector<DynamicBitset> anc_;
   // Class membership in original-id space, indexed by representative.

@@ -205,8 +205,11 @@ void ExpectSameResult(const ChildRun& base, const ChildRun& got) {
   }
 }
 
+// The driver name is a std::string, not a const char*: gtest prints a
+// pointer parameter as its address, which ASLR changes on every build,
+// and that value is part of the test name ctest discovers.
 class ChaosTest
-    : public ::testing::TestWithParam<std::pair<const char*, double>> {};
+    : public ::testing::TestWithParam<std::pair<std::string, double>> {};
 
 // Dollar-capped run -> reproducibility repeat -> resume under an
 // effectively unlimited cap -> bit-identical to the ungoverned baseline,
@@ -289,14 +292,13 @@ TEST_P(ChaosTest, KillInsideGovernedRunStillConverges) {
 
 INSTANTIATE_TEST_SUITE_P(
     AllDrivers, ChaosTest,
-    ::testing::Values(std::pair<const char*, double>{"serial", 0.0},
-                      std::pair<const char*, double>{"dset", 0.06},
-                      std::pair<const char*, double>{"sl", 0.0},
-                      std::pair<const char*, double>{"sl", 0.06}),
-    [](const ::testing::TestParamInfo<std::pair<const char*, double>>&
+    ::testing::Values(std::pair<std::string, double>{"serial", 0.0},
+                      std::pair<std::string, double>{"dset", 0.06},
+                      std::pair<std::string, double>{"sl", 0.0},
+                      std::pair<std::string, double>{"sl", 0.06}),
+    [](const ::testing::TestParamInfo<std::pair<std::string, double>>&
            param) {
-      return std::string(param.param.first) +
-             (param.param.second > 0 ? "_faulty" : "");
+      return param.param.first + (param.param.second > 0 ? "_faulty" : "");
     });
 
 // Chained extensions: $0.30 -> stop -> $0.60 -> stop -> unlimited. Each

@@ -192,8 +192,11 @@ void ExpectSameResult(const ChildRun& base, const ChildRun& got) {
   }
 }
 
+// The driver name is a std::string, not a const char*: gtest prints a
+// pointer parameter as its address, which ASLR changes on every build,
+// and that value is part of the test name ctest discovers.
 class KillPointTest
-    : public ::testing::TestWithParam<std::pair<const char*, double>> {};
+    : public ::testing::TestWithParam<std::pair<std::string, double>> {};
 
 TEST_P(KillPointTest, SeededKillsResumeBitIdentically) {
   const auto [algo, fault_rate] = GetParam();
@@ -225,14 +228,13 @@ TEST_P(KillPointTest, SeededKillsResumeBitIdentically) {
 
 INSTANTIATE_TEST_SUITE_P(
     AllDrivers, KillPointTest,
-    ::testing::Values(std::pair<const char*, double>{"serial", 0.0},
-                      std::pair<const char*, double>{"dset", 0.0},
-                      std::pair<const char*, double>{"sl", 0.0},
-                      std::pair<const char*, double>{"sl", 0.08}),
-    [](const ::testing::TestParamInfo<std::pair<const char*, double>>&
+    ::testing::Values(std::pair<std::string, double>{"serial", 0.0},
+                      std::pair<std::string, double>{"dset", 0.0},
+                      std::pair<std::string, double>{"sl", 0.0},
+                      std::pair<std::string, double>{"sl", 0.08}),
+    [](const ::testing::TestParamInfo<std::pair<std::string, double>>&
            param) {
-      return std::string(param.param.first) +
-             (param.param.second > 0 ? "_faulty" : "");
+      return param.param.first + (param.param.second > 0 ? "_faulty" : "");
     });
 
 TEST(KillPointEdgeTest, DoubleKillStillConverges) {

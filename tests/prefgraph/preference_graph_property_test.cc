@@ -3,8 +3,11 @@
 // operation sequences, including equivalence merges and contradictions.
 #include <gtest/gtest.h>
 
+#include <string>
+#include <tuple>
 #include <vector>
 
+#include "common/bitset.h"
 #include "common/random.h"
 #include "prefgraph/preference_graph.h"
 
@@ -86,17 +89,19 @@ class ReferenceOrder {
   std::vector<int> cls_;
 };
 
-class PrefGraphPropertyTest : public ::testing::TestWithParam<uint64_t> {};
-
-TEST_P(PrefGraphPropertyTest, MatchesReferenceOnRandomOps) {
-  const uint64_t seed = GetParam();
+/// Applies `ops` random preference/equivalence operations to a graph of
+/// n nodes and, every `check_every` operations, cross-checks every pair
+/// against the reference: Prefers and Equivalent directly (the desc_
+/// rows), and AnyStrictlyPrefers with a singleton mask (the anc_ rows).
+void CheckRandomOpsAgainstReference(int n, uint64_t seed, int ops,
+                                    int check_every) {
   Rng rng(seed);
-  const int n = 24;
   PreferenceGraph graph(n, ContradictionPolicy::kFirstWins);
   ReferenceOrder ref(n);
-  for (int op = 0; op < 250; ++op) {
-    const int u = static_cast<int>(rng.NextBounded(n));
-    int v = static_cast<int>(rng.NextBounded(n));
+  DynamicBitset single(static_cast<size_t>(n));
+  for (int op = 0; op < ops; ++op) {
+    const int u = static_cast<int>(rng.NextBounded(static_cast<uint64_t>(n)));
+    const int v = static_cast<int>(rng.NextBounded(static_cast<uint64_t>(n)));
     if (u == v) continue;
     if (rng.Bernoulli(0.85)) {
       // Mirror the graph's accept/reject decision in the reference by
@@ -107,26 +112,61 @@ TEST_P(PrefGraphPropertyTest, MatchesReferenceOnRandomOps) {
       ref.AddEquivalence(u, v);
       ASSERT_TRUE(graph.AddEquivalence(u, v).ok());
     }
-    // Full cross-check every few operations (it is O(n^2)).
-    if (op % 10 == 0 || op == 249) {
+    // Full cross-check every few operations (it is O(n^3)).
+    if (op % check_every == 0 || op == ops - 1) {
       const std::vector<bool> expected = ref.PrefersMatrix();
       for (int a = 0; a < n; ++a) {
+        single.Set(static_cast<size_t>(a));
         for (int b = 0; b < n; ++b) {
           if (a == b) continue;
-          ASSERT_EQ(graph.Prefers(a, b),
-                    static_cast<bool>(expected[static_cast<size_t>(a) * n +
-                                               static_cast<size_t>(b)]))
+          const bool prefers =
+              expected[static_cast<size_t>(a) * static_cast<size_t>(n) +
+                       static_cast<size_t>(b)];
+          ASSERT_EQ(graph.Prefers(a, b), prefers)
+              << "op " << op << " pair " << a << "," << b;
+          ASSERT_EQ(graph.AnyStrictlyPrefers(single, b), prefers)
               << "op " << op << " pair " << a << "," << b;
           ASSERT_EQ(graph.Equivalent(a, b), ref.Equivalent(a, b))
               << "op " << op << " pair " << a << "," << b;
         }
+        single.Reset(static_cast<size_t>(a));
       }
     }
   }
 }
 
+class PrefGraphPropertyTest : public ::testing::TestWithParam<uint64_t> {};
+
+TEST_P(PrefGraphPropertyTest, MatchesReferenceOnRandomOps) {
+  CheckRandomOpsAgainstReference(/*n=*/24, GetParam(), /*ops=*/250,
+                                 /*check_every=*/10);
+}
+
 INSTANTIATE_TEST_SUITE_P(Seeds, PrefGraphPropertyTest,
                          ::testing::Range<uint64_t>(1, 13));
+
+// Closure rows that span several 64-bit words: n = 65 puts one node past
+// the first word boundary, n = 130 spans three words.
+class PrefGraphMultiWordTest
+    : public ::testing::TestWithParam<std::tuple<int, uint64_t>> {};
+
+TEST_P(PrefGraphMultiWordTest, MatchesReferenceOnRandomOps) {
+  const auto [n, seed] = GetParam();
+  CheckRandomOpsAgainstReference(n, seed, /*ops=*/8 * n,
+                                 /*check_every=*/n);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Sizes, PrefGraphMultiWordTest,
+    ::testing::Combine(::testing::Values(65, 130),
+                       ::testing::Range<uint64_t>(1, 4)),
+    [](const ::testing::TestParamInfo<std::tuple<int, uint64_t>>& p) {
+      std::string name = "n";
+      name += std::to_string(std::get<0>(p.param));
+      name += "_seed";
+      name += std::to_string(std::get<1>(p.param));
+      return name;
+    });
 
 TEST(PrefGraphPropertyTest, StrictOrderIsAlwaysAcyclic) {
   Rng rng(777);
