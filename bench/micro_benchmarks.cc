@@ -3,6 +3,9 @@
 // closure maintenance, and full algorithm runs at a fixed size.
 #include <benchmark/benchmark.h>
 
+#include <utility>
+#include <vector>
+
 #include "common/thread_pool.h"
 #include "core/crowdsky.h"
 
@@ -145,6 +148,45 @@ void BM_PreferenceGraphChainInsert(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * (n - 1));
 }
 BENCHMARK(BM_PreferenceGraphChainInsert)->Arg(256)->Arg(1024);
+
+// 4n random pairs consistent with a hidden total order, the pattern a
+// CrowdSky query feeds its graph: each insert lands between nodes that
+// already have ancestors and descendants, so both closure sides carry
+// non-empty rows. (The in-order chain above only ever ORs in an empty
+// source row.) Graph construction is not timed.
+void BM_PreferenceGraphRandomOrderInsert(benchmark::State& state) {
+  const int n = static_cast<int>(state.range(0));
+  Rng rng(11);
+  std::vector<int> rank(static_cast<size_t>(n));
+  for (int i = 0; i < n; ++i) rank[static_cast<size_t>(i)] = i;
+  for (size_t i = rank.size(); i > 1; --i) {
+    std::swap(rank[i - 1], rank[static_cast<size_t>(rng.NextBounded(i))]);
+  }
+  std::vector<std::pair<int, int>> pairs;
+  const auto num_pairs = static_cast<size_t>(4 * n);
+  pairs.reserve(num_pairs);
+  while (pairs.size() < num_pairs) {
+    const auto a = static_cast<int>(rng.NextBounded(static_cast<uint64_t>(n)));
+    const auto b = static_cast<int>(rng.NextBounded(static_cast<uint64_t>(n)));
+    if (a == b) continue;
+    // Orient the pair by the hidden order: the lower rank is preferred.
+    if (rank[static_cast<size_t>(a)] < rank[static_cast<size_t>(b)]) {
+      pairs.emplace_back(a, b);
+    } else {
+      pairs.emplace_back(b, a);
+    }
+  }
+  for (auto _ : state) {
+    state.PauseTiming();
+    PreferenceGraph g(n);
+    state.ResumeTiming();
+    for (const auto& [u, v] : pairs) g.AddPreference(u, v).CheckOK();
+    benchmark::DoNotOptimize(g.edge_count());
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<int64_t>(pairs.size()));
+}
+BENCHMARK(BM_PreferenceGraphRandomOrderInsert)->Arg(1024)->Arg(4096);
 
 void BM_PreferenceGraphReachability(benchmark::State& state) {
   const int n = 2048;

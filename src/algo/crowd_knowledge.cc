@@ -54,6 +54,8 @@ bool CrowdKnowledge::PrunedFromAcSkyline(const DynamicBitset& mask,
   if (num_attrs() == 1) {
     const PreferenceGraph& g = graphs_[0];
     if (g.AnyStrictlyPrefers(mask, u)) return true;
+    // Without merges no two distinct tuples are equivalent.
+    if (g.merge_count() == 0) return false;
     // All-equal groups keep their smallest member.
     for (const int s : members) {
       if (s != u && s < u && g.Equivalent(s, u)) return true;

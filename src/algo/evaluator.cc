@@ -29,10 +29,10 @@ void TupleEvaluator::Refresh() {
   }
   if (pruning_.use_p2) {
     // P2 (Corollary 2): only SKY_AC(DS(t)) needs to be compared with t.
-    const std::vector<int> members = Members();
-    if (members.size() > 1) {
-      for (const int u : members) {
-        if (knowledge_->PrunedFromAcSkyline(ds_, members, u)) {
+    ds_.ToVector(&members_);
+    if (members_.size() > 1) {
+      for (const int u : members_) {
+        if (knowledge_->PrunedFromAcSkyline(ds_, members_, u)) {
           ds_.Reset(static_cast<size_t>(u));
         }
       }
@@ -58,15 +58,15 @@ bool TupleEvaluator::SettlesUnfunded() const {
 }
 
 void TupleEvaluator::BuildProbePairs() {
-  const std::vector<int> members = Members();
+  ds_.ToVector(&members_);
   probe_pairs_.clear();
   probe_idx_ = 0;
-  if (members.size() < 2) return;
-  probe_pairs_.reserve(members.size() * (members.size() - 1) / 2);
-  for (size_t i = 0; i < members.size(); ++i) {
-    for (size_t j = i + 1; j < members.size(); ++j) {
-      probe_pairs_.push_back({members[i], members[j],
-                              structure_.Frequency(members[i], members[j])});
+  if (members_.size() < 2) return;
+  probe_pairs_.reserve(members_.size() * (members_.size() - 1) / 2);
+  for (size_t i = 0; i < members_.size(); ++i) {
+    for (size_t j = i + 1; j < members_.size(); ++j) {
+      probe_pairs_.push_back({members_[i], members_[j],
+                              structure_.Frequency(members_[i], members_[j])});
     }
   }
   // Highest pruning power first (Section 3.4); ties by id for determinism.

@@ -120,7 +120,6 @@ class TupleEvaluator {
   /// question was paid for.
   bool AskPair(int u, int v, size_t freq, AskMode mode);
   void Finalize(bool is_skyline);
-  std::vector<int> Members() const { return ds_.ToVector(); }
 
   int t_;
   const DominanceStructure& structure_;
@@ -132,6 +131,9 @@ class TupleEvaluator {
 
   Phase phase_ = Phase::kInit;
   DynamicBitset ds_;
+  /// Snapshot of the members of ds_ taken by Refresh() and
+  /// BuildProbePairs(); one buffer reused across calls.
+  std::vector<int> members_;
   std::vector<ProbePair> probe_pairs_;
   size_t probe_idx_ = 0;
   bool is_skyline_ = false;

@@ -112,6 +112,7 @@ AlgoResult RunParallelDSet(const Dataset& dataset,
     // lets batches grow as completions accumulate.
     std::vector<DynamicBitset> effective;
     effective.reserve(partition.size());
+    std::vector<int> members;
     for (const int t : partition) {
       DynamicBitset ds;
       if (options.pruning.use_p1) {
@@ -121,7 +122,7 @@ AlgoResult RunParallelDSet(const Dataset& dataset,
         ds = structure.dominator_bits(t);
       }
       if (options.pruning.use_p2) {
-        const std::vector<int> members = ds.ToVector();
+        ds.ToVector(&members);
         if (members.size() > 1) {
           for (const int u : members) {
             if (knowledge.PrunedFromAcSkyline(ds, members, u)) {

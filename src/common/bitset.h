@@ -163,6 +163,26 @@ class DynamicBitset {
     words_[bit / kBitsPerWord] |= Word{1} << (bit % kBitsPerWord);
   }
 
+  /// Writes the indices of the nonzero words into `out` (cleared first), in
+  /// increasing order. Gathered once when one source row is ORed into many
+  /// rows, so each OrWords touches only the words that can change.
+  void NonzeroWords(std::vector<uint32_t>* out) const {
+    out->clear();
+    for (size_t i = 0; i < words_.size(); ++i) {
+      if (words_[i] != 0) out->push_back(static_cast<uint32_t>(i));
+    }
+  }
+
+  /// this |= src on the listed words only. Equals OrWith(src) whenever
+  /// `word_idx` covers every nonzero word of src (see NonzeroWords).
+  void OrWords(const DynamicBitset& src, std::span<const uint32_t> word_idx) {
+    CROWDSKY_DCHECK(size_ == src.size_);
+    for (const uint32_t i : word_idx) {
+      CROWDSKY_DCHECK(i < words_.size());
+      words_[i] |= src.words_[i];
+    }
+  }
+
   /// this |= other, returning the popcount of the result from the same
   /// word loop — fuses OrWith + Count for transitive-closure updates that
   /// need the new set size.
@@ -266,13 +286,39 @@ class DynamicBitset {
     }
   }
 
+  /// Calls fn(index) for every set bit of this & ~other within the listed
+  /// words, in list order, without materializing the difference. Visits
+  /// every set bit of this & ~other whenever `word_idx` covers every
+  /// nonzero word of this (see NonzeroWords); `other` is read only there.
+  template <typename Fn>
+  void ForEachSetBitAndNot(const DynamicBitset& other,
+                           std::span<const uint32_t> word_idx,
+                           Fn&& fn) const {
+    CROWDSKY_DCHECK(size_ == other.size_);
+    for (const uint32_t wi : word_idx) {
+      CROWDSKY_DCHECK(wi < words_.size());
+      Word w = words_[wi] & ~other.words_[wi];
+      while (w != 0) {
+        const auto bit = static_cast<size_t>(__builtin_ctzll(w));
+        fn(wi * kBitsPerWord + bit);
+        w &= w - 1;
+      }
+    }
+  }
+
   /// Collects set-bit indices into a vector<int> (ids in this codebase are
   /// ints).
   std::vector<int> ToVector() const {
     std::vector<int> out;
-    out.reserve(Count());
-    ForEachSetBit([&out](size_t i) { out.push_back(static_cast<int>(i)); });
+    ToVector(&out);
     return out;
+  }
+  /// Buffer-reusing form of ToVector(): `out` is cleared first, and keeps
+  /// its capacity across calls.
+  void ToVector(std::vector<int>* out) const {
+    out->clear();
+    out->reserve(Count());
+    ForEachSetBit([out](size_t i) { out->push_back(static_cast<int>(i)); });
   }
 
   /// Direct word access (read-only), for fused custom loops.

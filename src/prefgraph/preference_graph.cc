@@ -38,24 +38,54 @@ bool PreferenceGraph::Equivalent(int u, int v) const {
   return Find(u) == Find(v);
 }
 
+namespace {
+
+// Writes `self` and then the set bits of a & ~b into `out` (cleared first).
+// `a_words` lists the nonzero words of a.
+void CollectTargets(const DynamicBitset& a, const DynamicBitset& b,
+                    const std::vector<uint32_t>& a_words, int self,
+                    std::vector<int>* out) {
+  out->clear();
+  out->push_back(self);
+  a.ForEachSetBitAndNot(b, a_words, [out](size_t i) {
+    out->push_back(static_cast<int>(i));
+  });
+}
+
+// rows[t] |= src, plus bit `endpoint`, for every t in `targets`, ORing only
+// `src_words`, the nonzero words of src. Every closure OR goes through
+// here. No target may be the row src itself.
+void OrIntoRows(std::vector<DynamicBitset>& rows,
+                const std::vector<int>& targets, const DynamicBitset& src,
+                const std::vector<uint32_t>& src_words, size_t endpoint) {
+  for (const int t : targets) {
+    DynamicBitset& row = rows[static_cast<size_t>(t)];
+    row.OrWords(src, src_words);
+    row.Set(endpoint);
+  }
+}
+
+}  // namespace
+
 void PreferenceGraph::InsertEdgeClosure(int ru, int rv) {
   const auto u = static_cast<size_t>(ru);
   const auto v = static_cast<size_t>(rv);
   // Every ancestor of u (and u itself) now reaches v and v's descendants;
   // every descendant of v (and v itself) is now reached from u and u's
-  // ancestors. anc_[u] / desc_[v] are not modified by the opposite loop, so
-  // no snapshots are needed. Italiano's pruning: by the row invariant, an
-  // ancestor row that already holds v already holds desc_[v], and a
-  // descendant row that already holds u already holds anc_[u], so neither
-  // needs the OR.
-  desc_[u].OrWithAndSet(desc_[v], v);
-  anc_[u].ForEachSetBit([this, v](size_t a) {
-    if (!desc_[a].Test(v)) desc_[a].OrWithAndSet(desc_[v], v);
-  });
-  anc_[v].OrWithAndSet(anc_[u], u);
-  desc_[v].ForEachSetBit([this, u](size_t d) {
-    if (!anc_[d].Test(u)) anc_[d].OrWithAndSet(anc_[u], u);
-  });
+  // ancestors. Italiano's pruning: by the row invariant, an ancestor row
+  // that already holds v already holds desc_[v], and a descendant row that
+  // already holds u already holds anc_[u], so neither needs the OR. By the
+  // transpose invariant the rows left are anc_[u] & ~anc_[v] and
+  // desc_[v] & ~desc_[u]. Both sets are read before any write, since the
+  // updates grow desc_[u] and anc_[v]. No target is a source row: v is not
+  // an ancestor of u, nor u a descendant of v. The nonzero words of the two
+  // source rows bound both the target scan and the ORs.
+  anc_[u].NonzeroWords(&anc_words_);
+  desc_[v].NonzeroWords(&desc_words_);
+  CollectTargets(anc_[u], anc_[v], anc_words_, ru, &desc_targets_);
+  CollectTargets(desc_[v], desc_[u], desc_words_, rv, &anc_targets_);
+  OrIntoRows(desc_, desc_targets_, desc_[v], desc_words_, v);
+  OrIntoRows(anc_, anc_targets_, anc_[u], anc_words_, u);
 }
 
 Status PreferenceGraph::AddPreference(int u, int v) {
@@ -121,11 +151,14 @@ Status PreferenceGraph::AddEquivalence(int u, int v) {
   anc_[soth].ClearAll();
 
   // The merge can create new transitive paths (x -> ru merged with rv -> y
-  // gives x -> y): propagate the combined rows outward.
-  anc_[srep].ForEachSetBit(
-      [this, srep](size_t a) { desc_[a].OrWith(desc_[srep]); });
-  desc_[srep].ForEachSetBit(
-      [this, srep](size_t d) { anc_[d].OrWith(anc_[srep]); });
+  // gives x -> y): propagate the combined rows outward. Every target row
+  // already holds srep, so the endpoint bit changes nothing here.
+  anc_[srep].ToVector(&desc_targets_);
+  desc_[srep].ToVector(&anc_targets_);
+  desc_[srep].NonzeroWords(&desc_words_);
+  anc_[srep].NonzeroWords(&anc_words_);
+  OrIntoRows(desc_, desc_targets_, desc_[srep], desc_words_, srep);
+  OrIntoRows(anc_, anc_targets_, anc_[srep], anc_words_, srep);
   ++merges_;
   return Status::OK();
 }

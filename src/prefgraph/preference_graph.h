@@ -18,6 +18,7 @@
 #pragma once
 
 #include <cstdint>
+#include <vector>
 
 #include "common/bitset.h"
 #include "common/status.h"
@@ -90,6 +91,12 @@ class PreferenceGraph {
   // contains all of desc_[v], and a row anc_[d] containing u also contains
   // all of anc_[u]. InsertEdgeClosure relies on it to skip rows that
   // already hold the new edge's endpoint.
+  // Transpose invariant: desc_[a] holds b iff anc_[b] holds a. So for an
+  // edge u -> v, the ancestor rows desc_[a] (a in anc_[u]) lacking v are
+  // exactly a in anc_[u] & ~anc_[v], and the descendant rows anc_[d]
+  // (d in desc_[v]) lacking u are exactly d in desc_[v] & ~desc_[u].
+  // InsertEdgeClosure reads its target rows from these differences instead
+  // of testing one bit per visited row.
   std::vector<DynamicBitset> desc_;
   std::vector<DynamicBitset> anc_;
   // Class membership in original-id space, indexed by representative.
@@ -99,6 +106,12 @@ class PreferenceGraph {
   int64_t merges_ = 0;
   // Scratch for mask canonicalization when merges have occurred.
   mutable DynamicBitset scratch_;
+  // Scratch for closure updates: the rows to OR into on each side, and the
+  // nonzero word indices of the source rows.
+  std::vector<int> desc_targets_;
+  std::vector<int> anc_targets_;
+  std::vector<uint32_t> desc_words_;
+  std::vector<uint32_t> anc_words_;
 };
 
 }  // namespace crowdsky

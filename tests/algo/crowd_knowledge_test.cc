@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
+#include "common/random.h"
+
 namespace crowdsky {
 namespace {
 
@@ -118,6 +122,61 @@ TEST(CrowdKnowledgeTest, ContradictionCountAggregates) {
   ASSERT_TRUE(k.Record(1, 2, 3, Answer::kFirstPreferred).ok());
   ASSERT_TRUE(k.Record(1, 2, 3, Answer::kEqual).ok());  // conflict
   EXPECT_EQ(k.contradiction_count(), 2);
+}
+
+// Differential check of PrunedFromAcSkyline at |AC| = 1 against its
+// pairwise definition: u is pruned iff some other member is strictly
+// preferred over u, or equal to u with a smaller id. Random graphs are
+// built with or without equivalence answers, so both the no-merge
+// shortcut and the equal-group path are exercised.
+void CheckPrunedMatchesPairwise(double equal_share, uint64_t seed) {
+  const int n = 48;
+  Rng rng(seed);
+  CrowdKnowledge k(n, 1);
+  const PreferenceGraph& g = k.graph(0);
+  for (int op = 0; op < 4 * n; ++op) {
+    const int u = static_cast<int>(rng.NextBounded(static_cast<uint64_t>(n)));
+    const int v = static_cast<int>(rng.NextBounded(static_cast<uint64_t>(n)));
+    if (u == v) continue;
+    const Answer answer = rng.Bernoulli(equal_share) ? Answer::kEqual
+                          : rng.Bernoulli(0.5)       ? Answer::kFirstPreferred
+                                                     : Answer::kSecondPreferred;
+    ASSERT_TRUE(k.Record(0, u, v, answer).ok());
+    if (op % 16 != 0) continue;
+    DynamicBitset mask(n);
+    for (int t = 0; t < n; ++t) {
+      if (rng.Bernoulli(0.4)) mask.Set(static_cast<size_t>(t));
+    }
+    const std::vector<int> members = mask.ToVector();
+    for (const int m : members) {
+      bool expected = false;
+      for (const int s : members) {
+        if (s == m) continue;
+        if (g.Prefers(s, m) || (g.Equivalent(s, m) && s < m)) {
+          expected = true;
+        }
+      }
+      ASSERT_EQ(k.PrunedFromAcSkyline(mask, members, m), expected)
+          << "seed " << seed << " op " << op << " member " << m;
+    }
+  }
+  if (equal_share == 0.0) {
+    EXPECT_EQ(g.merge_count(), 0);
+  } else {
+    EXPECT_GT(g.merge_count(), 0);
+  }
+}
+
+TEST(CrowdKnowledgeTest, PrunedFromAcSkylineMatchesPairwiseWithoutMerges) {
+  for (uint64_t seed = 1; seed <= 20; ++seed) {
+    CheckPrunedMatchesPairwise(/*equal_share=*/0.0, seed);
+  }
+}
+
+TEST(CrowdKnowledgeTest, PrunedFromAcSkylineMatchesPairwiseWithMerges) {
+  for (uint64_t seed = 1; seed <= 20; ++seed) {
+    CheckPrunedMatchesPairwise(/*equal_share=*/0.2, seed);
+  }
 }
 
 }  // namespace

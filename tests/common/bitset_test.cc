@@ -5,6 +5,8 @@
 #include <algorithm>
 #include <set>
 #include <span>
+#include <string>
+#include <vector>
 
 #include "common/random.h"
 
@@ -390,6 +392,142 @@ TEST(DynamicBitsetTest, Transpose64x64MatchesNaiveBitTranspose) {
   // Involution: transposing again restores the original block.
   Transpose64x64(w);
   EXPECT_TRUE(std::equal(std::begin(w), std::end(w), std::begin(orig)));
+}
+
+// The word-sparse primitives behind the closure update must agree with
+// the full-width OrWith / AndNotWith at every tail shape: n % 64 in
+// {0, 1, 63}.
+class WordSparseTest : public ::testing::TestWithParam<size_t> {};
+
+DynamicBitset RandomBits(size_t n, double density, Rng& rng) {
+  DynamicBitset b(n);
+  for (size_t i = 0; i < n; ++i) {
+    if (rng.Bernoulli(density)) b.Set(i);
+  }
+  return b;
+}
+
+// Bits past size() in the last word are clear.
+bool PaddingClear(const DynamicBitset& b) {
+  const size_t rem = b.size() % DynamicBitset::kBitsPerWord;
+  if (b.word_count() == 0 || rem == 0) return true;
+  return (b.words()[b.word_count() - 1] >> rem) == 0;
+}
+
+std::vector<uint32_t> NonzeroWordsOf(const DynamicBitset& b) {
+  std::vector<uint32_t> out;
+  for (size_t i = 0; i < b.word_count(); ++i) {
+    if (b.words()[i] != 0) out.push_back(static_cast<uint32_t>(i));
+  }
+  return out;
+}
+
+// dst.OrWords(src, NonzeroWords(src)) must equal dst.OrWith(src).
+void ExpectOrWordsMatchesOrWith(const DynamicBitset& dst,
+                                const DynamicBitset& src) {
+  std::vector<uint32_t> idx = {99};  // stale content must be cleared
+  src.NonzeroWords(&idx);
+  EXPECT_EQ(idx, NonzeroWordsOf(src));
+  DynamicBitset sparse = dst;
+  sparse.OrWords(src, idx);
+  DynamicBitset full = dst;
+  full.OrWith(src);
+  EXPECT_EQ(sparse, full);
+  EXPECT_TRUE(PaddingClear(sparse));
+}
+
+// a.ForEachSetBitAndNot(b, words) must visit exactly the bits of a & ~b,
+// in order, both over a's nonzero words and over every word.
+void ExpectAndNotBitsMatchAndNotWith(const DynamicBitset& a,
+                                     const DynamicBitset& b) {
+  DynamicBitset diff = a;
+  diff.AndNotWith(b);
+  std::vector<uint32_t> all_words(a.word_count());
+  for (size_t i = 0; i < all_words.size(); ++i) {
+    all_words[i] = static_cast<uint32_t>(i);
+  }
+  for (const std::vector<uint32_t>& words : {NonzeroWordsOf(a), all_words}) {
+    std::vector<int> visited;
+    a.ForEachSetBitAndNot(b, words, [&visited](size_t i) {
+      visited.push_back(static_cast<int>(i));
+    });
+    EXPECT_EQ(visited, diff.ToVector());
+    for (const int i : visited) EXPECT_LT(static_cast<size_t>(i), a.size());
+  }
+}
+
+TEST_P(WordSparseTest, RandomRowsMatchFullWidthOps) {
+  const size_t n = GetParam();
+  Rng rng(1000 + n);
+  for (const double density : {0.01, 0.1, 0.5}) {
+    const DynamicBitset dst = RandomBits(n, 0.2, rng);
+    const DynamicBitset src = RandomBits(n, density, rng);
+    ExpectOrWordsMatchesOrWith(dst, src);
+    ExpectAndNotBitsMatchAndNotWith(src, dst);
+    ExpectAndNotBitsMatchAndNotWith(dst, src);
+  }
+}
+
+TEST_P(WordSparseTest, AllZeroSource) {
+  const size_t n = GetParam();
+  Rng rng(2000 + n);
+  const DynamicBitset zero(n);
+  const DynamicBitset dst = RandomBits(n, 0.3, rng);
+  std::vector<uint32_t> idx;
+  zero.NonzeroWords(&idx);
+  EXPECT_TRUE(idx.empty());
+  ExpectOrWordsMatchesOrWith(dst, zero);
+  ExpectAndNotBitsMatchAndNotWith(zero, dst);
+  ExpectAndNotBitsMatchAndNotWith(dst, zero);
+}
+
+TEST_P(WordSparseTest, OnlyLastWordNonzero) {
+  const size_t n = GetParam();
+  Rng rng(3000 + n);
+  DynamicBitset src(n);
+  src.Set(n - 1);
+  if (n % DynamicBitset::kBitsPerWord != 1) {
+    src.Set(n - 2);
+  }
+  std::vector<uint32_t> idx;
+  src.NonzeroWords(&idx);
+  ASSERT_EQ(idx.size(), 1u);
+  EXPECT_EQ(idx[0], src.word_count() - 1);
+  const DynamicBitset dst = RandomBits(n, 0.3, rng);
+  ExpectOrWordsMatchesOrWith(dst, src);
+  ExpectOrWordsMatchesOrWith(DynamicBitset(n), src);
+  ExpectAndNotBitsMatchAndNotWith(src, dst);
+  ExpectAndNotBitsMatchAndNotWith(src, DynamicBitset(n));
+}
+
+TEST_P(WordSparseTest, FullSourceKeepsPaddingClear) {
+  const size_t n = GetParam();
+  DynamicBitset src(n);
+  src.SetAll();
+  DynamicBitset dst(n);
+  ExpectOrWordsMatchesOrWith(dst, src);
+  dst.OrWords(src, NonzeroWordsOf(src));
+  EXPECT_EQ(dst.Count(), n);
+  EXPECT_TRUE(PaddingClear(dst));
+  ExpectAndNotBitsMatchAndNotWith(src, DynamicBitset(n));
+}
+
+INSTANTIATE_TEST_SUITE_P(TailShapes, WordSparseTest,
+                         ::testing::Values(64, 65, 127, 192, 193, 255),
+                         [](const ::testing::TestParamInfo<size_t>& p) {
+                           std::string name = "n";
+                           name += std::to_string(p.param);
+                           return name;
+                         });
+
+TEST(DynamicBitsetTest, ToVectorIntoBufferReplacesContent) {
+  DynamicBitset b(130);
+  b.Set(3);
+  b.Set(129);
+  std::vector<int> out = {7, 8, 9};
+  b.ToVector(&out);
+  EXPECT_EQ(out, (std::vector<int>{3, 129}));
+  EXPECT_EQ(out, b.ToVector());
 }
 
 }  // namespace

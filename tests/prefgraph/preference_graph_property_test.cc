@@ -89,44 +89,57 @@ class ReferenceOrder {
   std::vector<int> cls_;
 };
 
-/// Applies `ops` random preference/equivalence operations to a graph of
-/// n nodes and, every `check_every` operations, cross-checks every pair
-/// against the reference: Prefers and Equivalent directly (the desc_
-/// rows), and AnyStrictlyPrefers with a singleton mask (the anc_ rows).
-void CheckRandomOpsAgainstReference(int n, uint64_t seed, int ops,
-                                    int check_every) {
+/// Applies `ops` random preference/equivalence operations over the node
+/// ids in `ids` to a graph of n nodes and, every `check_every` operations,
+/// cross-checks every pair against the reference: Prefers and Equivalent
+/// directly (the desc_ rows), and AnyStrictlyPrefers with a singleton mask
+/// (the anc_ rows). The reference runs on positions in `ids`; a pair with
+/// a node outside `ids` must stay unrelated.
+void CheckRandomOpsAgainstReference(int n, const std::vector<int>& ids,
+                                    uint64_t seed, int ops, int check_every) {
+  const int m = static_cast<int>(ids.size());
+  std::vector<int> pos(static_cast<size_t>(n), -1);
+  for (int i = 0; i < m; ++i) {
+    pos[static_cast<size_t>(ids[static_cast<size_t>(i)])] = i;
+  }
   Rng rng(seed);
   PreferenceGraph graph(n, ContradictionPolicy::kFirstWins);
-  ReferenceOrder ref(n);
+  ReferenceOrder ref(m);
   DynamicBitset single(static_cast<size_t>(n));
   for (int op = 0; op < ops; ++op) {
-    const int u = static_cast<int>(rng.NextBounded(static_cast<uint64_t>(n)));
-    const int v = static_cast<int>(rng.NextBounded(static_cast<uint64_t>(n)));
-    if (u == v) continue;
+    const int i = static_cast<int>(rng.NextBounded(static_cast<uint64_t>(m)));
+    const int j = static_cast<int>(rng.NextBounded(static_cast<uint64_t>(m)));
+    if (i == j) continue;
+    const int u = ids[static_cast<size_t>(i)];
+    const int v = ids[static_cast<size_t>(j)];
     if (rng.Bernoulli(0.85)) {
       // Mirror the graph's accept/reject decision in the reference by
       // applying the same kFirstWins rule.
-      ref.AddPreference(u, v);
+      ref.AddPreference(i, j);
       ASSERT_TRUE(graph.AddPreference(u, v).ok());
     } else {
-      ref.AddEquivalence(u, v);
+      ref.AddEquivalence(i, j);
       ASSERT_TRUE(graph.AddEquivalence(u, v).ok());
     }
-    // Full cross-check every few operations (it is O(n^3)).
+    // Full cross-check every few operations (it is O(m^3)).
     if (op % check_every == 0 || op == ops - 1) {
       const std::vector<bool> expected = ref.PrefersMatrix();
       for (int a = 0; a < n; ++a) {
+        const int pa = pos[static_cast<size_t>(a)];
         single.Set(static_cast<size_t>(a));
         for (int b = 0; b < n; ++b) {
           if (a == b) continue;
+          const int pb = pos[static_cast<size_t>(b)];
+          const bool tracked = pa >= 0 && pb >= 0;
           const bool prefers =
-              expected[static_cast<size_t>(a) * static_cast<size_t>(n) +
-                       static_cast<size_t>(b)];
+              tracked &&
+              expected[static_cast<size_t>(pa) * static_cast<size_t>(m) +
+                       static_cast<size_t>(pb)];
           ASSERT_EQ(graph.Prefers(a, b), prefers)
               << "op " << op << " pair " << a << "," << b;
           ASSERT_EQ(graph.AnyStrictlyPrefers(single, b), prefers)
               << "op " << op << " pair " << a << "," << b;
-          ASSERT_EQ(graph.Equivalent(a, b), ref.Equivalent(a, b))
+          ASSERT_EQ(graph.Equivalent(a, b), tracked && ref.Equivalent(pa, pb))
               << "op " << op << " pair " << a << "," << b;
         }
         single.Reset(static_cast<size_t>(a));
@@ -135,11 +148,18 @@ void CheckRandomOpsAgainstReference(int n, uint64_t seed, int ops,
   }
 }
 
+/// The node ids 0..n-1.
+std::vector<int> AllIds(int n) {
+  std::vector<int> ids(static_cast<size_t>(n));
+  for (int i = 0; i < n; ++i) ids[static_cast<size_t>(i)] = i;
+  return ids;
+}
+
 class PrefGraphPropertyTest : public ::testing::TestWithParam<uint64_t> {};
 
 TEST_P(PrefGraphPropertyTest, MatchesReferenceOnRandomOps) {
-  CheckRandomOpsAgainstReference(/*n=*/24, GetParam(), /*ops=*/250,
-                                 /*check_every=*/10);
+  CheckRandomOpsAgainstReference(/*n=*/24, AllIds(24), GetParam(),
+                                 /*ops=*/250, /*check_every=*/10);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, PrefGraphPropertyTest,
@@ -152,7 +172,7 @@ class PrefGraphMultiWordTest
 
 TEST_P(PrefGraphMultiWordTest, MatchesReferenceOnRandomOps) {
   const auto [n, seed] = GetParam();
-  CheckRandomOpsAgainstReference(n, seed, /*ops=*/8 * n,
+  CheckRandomOpsAgainstReference(n, AllIds(n), seed, /*ops=*/8 * n,
                                  /*check_every=*/n);
 }
 
@@ -167,6 +187,23 @@ INSTANTIATE_TEST_SUITE_P(
       name += std::to_string(std::get<1>(p.param));
       return name;
     });
+
+// Sparse closure rows: at n = 640 (ten words) the ops draw ids from two
+// 64-id blocks, words 1 and 7, so every row has zero words before, between
+// and after its nonzero ones. The update must OR only the nonzero words,
+// and merges must carry that through.
+class PrefGraphSparseRowTest : public ::testing::TestWithParam<uint64_t> {};
+
+TEST_P(PrefGraphSparseRowTest, MatchesReferenceOnRandomOps) {
+  std::vector<int> ids;
+  for (int i = 64; i < 128; ++i) ids.push_back(i);
+  for (int i = 448; i < 512; ++i) ids.push_back(i);
+  CheckRandomOpsAgainstReference(/*n=*/640, ids, GetParam(), /*ops=*/1024,
+                                 /*check_every=*/128);
+}
+
+INSTANTIATE_TEST_SUITE_P(TwoBlocks, PrefGraphSparseRowTest,
+                         ::testing::Range<uint64_t>(1, 5));
 
 TEST(PrefGraphPropertyTest, StrictOrderIsAlwaysAcyclic) {
   Rng rng(777);
