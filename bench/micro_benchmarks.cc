@@ -1,8 +1,11 @@
 // google-benchmark micro-benchmarks of the substrates: dominance tests,
 // machine skylines, dominance-structure construction, preference-graph
-// closure maintenance, and full algorithm runs at a fixed size.
+// closure maintenance, the CSV codec, and full algorithm runs at a fixed
+// size.
 #include <benchmark/benchmark.h>
 
+#include <filesystem>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -217,6 +220,37 @@ void BM_FrequencyQuery(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_FrequencyQuery);
+
+// The CSV codec on a dataset shaped like the end-to-end benchmark's
+// (|AK| = 4, |AC| = 1), through a file as the benchmark's setup does.
+std::string CsvBenchPath() {
+  return (std::filesystem::temp_directory_path() / "crowdsky_bm_csv.csv")
+      .string();
+}
+
+void BM_CsvWrite(benchmark::State& state) {
+  const Dataset ds = MakeData(static_cast<int>(state.range(0)),
+                              DataDistribution::kIndependent);
+  const std::string path = CsvBenchPath();
+  for (auto _ : state) WriteCsvFile(ds, path).CheckOK();
+  std::filesystem::remove(path);
+  state.SetItemsProcessed(state.iterations() * state.range(0));
+}
+BENCHMARK(BM_CsvWrite)->Arg(3000)->Unit(benchmark::kMicrosecond);
+
+void BM_CsvRead(benchmark::State& state) {
+  const Dataset ds = MakeData(static_cast<int>(state.range(0)),
+                              DataDistribution::kIndependent);
+  const std::string path = CsvBenchPath();
+  WriteCsvFile(ds, path).CheckOK();
+  for (auto _ : state) {
+    Result<Dataset> read = ReadCsvFile(path);
+    benchmark::DoNotOptimize(read.ok());
+  }
+  std::filesystem::remove(path);
+  state.SetItemsProcessed(state.iterations() * state.range(0));
+}
+BENCHMARK(BM_CsvRead)->Arg(3000)->Unit(benchmark::kMicrosecond);
 
 void BM_CrowdSkyEndToEnd(benchmark::State& state) {
   const Dataset ds = MakeData(static_cast<int>(state.range(0)),

@@ -145,24 +145,6 @@ class DynamicBitset {
     }
   }
 
-  /// this |= (or_src & ~minus) in one pass — the fused form the
-  /// transitive-closure rows want when propagating a row minus a removed
-  /// set, instead of materializing the difference or sweeping twice.
-  void OrAndNotWith(const DynamicBitset& or_src, const DynamicBitset& minus) {
-    CROWDSKY_DCHECK(size_ == or_src.size_ && size_ == minus.size_);
-    for (size_t i = 0; i < words_.size(); ++i) {
-      words_[i] |= or_src.words_[i] & ~minus.words_[i];
-    }
-  }
-
-  /// this |= other, plus Set(bit), in one call — the closure insert's
-  /// "absorb the row and the row's owner" step without a second pass.
-  void OrWithAndSet(const DynamicBitset& other, size_t bit) {
-    CROWDSKY_DCHECK(size_ == other.size_ && bit < size_);
-    for (size_t i = 0; i < words_.size(); ++i) words_[i] |= other.words_[i];
-    words_[bit / kBitsPerWord] |= Word{1} << (bit % kBitsPerWord);
-  }
-
   /// Writes the indices of the nonzero words into `out` (cleared first), in
   /// increasing order. Gathered once when one source row is ORed into many
   /// rows, so each OrWords touches only the words that can change.

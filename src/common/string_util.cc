@@ -1,6 +1,8 @@
 #include "common/string_util.h"
 
 #include <cerrno>
+#include <charconv>
+#include <cmath>
 #include <cstdarg>
 #include <cstdio>
 #include <cstdlib>
@@ -31,14 +33,25 @@ std::string_view TrimWhitespace(std::string_view input) {
 }
 
 Result<double> ParseDouble(std::string_view input) {
-  const std::string buf(TrimWhitespace(input));
-  if (buf.empty()) {
+  const std::string_view text = TrimWhitespace(input);
+  if (text.empty()) {
     return Status::InvalidArgument("cannot parse empty string as double");
   }
+  double value = 0;
+  const auto [ptr, ec] =
+      std::from_chars(text.data(), text.data() + text.size(), value);
+  if (ec == std::errc() && ptr == text.data() + text.size() &&
+      !std::isnan(value)) {
+    return value;
+  }
+  // from_chars refuses a leading '+' and hex floats, and reports overflow
+  // and underflow to zero; strtod decides those, and NaN payloads.
+  const std::string buf(text);
   errno = 0;
   char* end = nullptr;
-  const double value = std::strtod(buf.c_str(), &end);
-  if (errno == ERANGE) {
+  value = std::strtod(buf.c_str(), &end);
+  // glibc sets ERANGE on subnormal results too; those are exact, keep them.
+  if (errno == ERANGE && (value == 0 || std::isinf(value))) {
     return Status::OutOfRange("double out of range: '" + buf + "'");
   }
   if (end != buf.c_str() + buf.size()) {
@@ -90,6 +103,14 @@ std::string StringFormat(const char* fmt, ...) {
   }
   va_end(args_copy);
   return out;
+}
+
+void AppendDouble(std::string* out, double v) {
+  // The longest %.17g output is 24 bytes ("-2.2250738585072014e-308").
+  char buf[32];
+  const auto result = std::to_chars(buf, buf + sizeof buf, v,
+                                    std::chars_format::general, 17);
+  out->append(buf, result.ptr);
 }
 
 bool StartsWith(std::string_view text, std::string_view prefix) {

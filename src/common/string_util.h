@@ -15,11 +15,20 @@ std::vector<std::string> SplitString(std::string_view input, char delim);
 /// Removes leading and trailing ASCII whitespace.
 std::string_view TrimWhitespace(std::string_view input);
 
-/// Parses a double; fails on empty/garbage/trailing characters.
+/// Parses a double after trimming ASCII whitespace. Accepts what strtod
+/// accepts (a leading `+`, hex floats, `inf`, `nan`, `.5`, `5.`) and parses
+/// subnormals bit-exactly. Fails with InvalidArgument on empty input or
+/// trailing characters, and with OutOfRange on overflow or on underflow to
+/// zero (`1e999`, `1e-400`).
 Result<double> ParseDouble(std::string_view input);
 
-/// Parses a non-negative integer; fails on empty/garbage/overflow.
+/// Parses a signed base-10 integer after trimming ASCII whitespace; fails on
+/// empty/garbage/overflow.
 Result<int64_t> ParseInt64(std::string_view input);
+
+/// Appends `v` formatted exactly as printf's `%.17g`, which round-trips
+/// every finite double bit-exactly through ParseDouble.
+void AppendDouble(std::string* out, double v);
 
 /// Joins items with `sep`.
 std::string JoinStrings(const std::vector<std::string>& items,

@@ -9,6 +9,7 @@
 #include <map>
 #include <sstream>
 
+#include "common/string_util.h"
 #include "persist/recovery.h"
 
 namespace crowdsky::dist {
@@ -35,9 +36,9 @@ void PutB(std::string* out, const std::string& key, bool v) {
 
 /// %.17g round-trips every finite double bit-exactly.
 void PutF(std::string* out, const std::string& key, double v) {
-  char buf[64];
-  std::snprintf(buf, sizeof buf, "%.17g", v);
-  Put(out, key, buf);
+  std::string text;
+  AppendDouble(&text, v);
+  Put(out, key, text);
 }
 
 void PutIds(std::string* out, const std::string& key,

@@ -1,8 +1,9 @@
 #include "obs/metrics.h"
 
 #include <algorithm>
-#include <cstdio>
 #include <fstream>
+
+#include "common/string_util.h"
 
 namespace crowdsky::obs {
 namespace {
@@ -21,14 +22,14 @@ std::string Sanitize(const std::string& name) {
 }
 
 std::string FormatDouble(double v) {
-  char buf[40];
-  const auto as_int = static_cast<long long>(v);
-  if (static_cast<double>(as_int) == v && v > -1e15 && v < 1e15) {
-    std::snprintf(buf, sizeof(buf), "%lld", as_int);
-  } else {
-    std::snprintf(buf, sizeof(buf), "%.17g", v);
+  // Range first: casting NaN or a huge value to an integer is undefined.
+  if (v > -1e15 && v < 1e15) {
+    const auto as_int = static_cast<long long>(v);
+    if (static_cast<double>(as_int) == v) return std::to_string(as_int);
   }
-  return buf;
+  std::string out;
+  AppendDouble(&out, v);
+  return out;
 }
 
 }  // namespace

@@ -323,36 +323,6 @@ TEST(DynamicBitsetTest, AssignAndNotComputesDifferenceInOnePass) {
   EXPECT_EQ(out, expected);
 }
 
-TEST(DynamicBitsetTest, OrAndNotWithFusesOrAndDifference) {
-  DynamicBitset self(130);
-  DynamicBitset or_src(130);
-  DynamicBitset minus(130);
-  self.Set(1);
-  or_src.Set(2);
-  or_src.Set(3);
-  or_src.Set(129);
-  minus.Set(3);
-  minus.Set(1);  // removing a bit already in self must NOT clear it
-  self.OrAndNotWith(or_src, minus);
-  EXPECT_TRUE(self.Test(1));
-  EXPECT_TRUE(self.Test(2));
-  EXPECT_FALSE(self.Test(3));
-  EXPECT_TRUE(self.Test(129));
-  EXPECT_EQ(self.Count(), 3u);
-}
-
-TEST(DynamicBitsetTest, OrWithAndSetAbsorbsRowAndOwner) {
-  DynamicBitset self(70);
-  DynamicBitset other(70);
-  other.Set(0);
-  other.Set(69);
-  self.OrWithAndSet(other, 33);
-  EXPECT_TRUE(self.Test(0));
-  EXPECT_TRUE(self.Test(33));
-  EXPECT_TRUE(self.Test(69));
-  EXPECT_EQ(self.Count(), 3u);
-}
-
 TEST(DynamicBitsetTest, CountWordRangeMatchesManualSlices) {
   DynamicBitset b(64 * 9 + 17);
   for (size_t i = 0; i < b.size(); i += 7) b.Set(i);

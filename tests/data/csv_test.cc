@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <filesystem>
+#include <limits>
 #include <sstream>
 
 #include "data/generator.h"
@@ -162,6 +165,76 @@ TEST(CsvTest, ExtremeValuesSurviveTheRoundTrip) {
   }
 }
 
+TEST(CsvTest, SubnormalsAndLimitsRoundTripBitExactly) {
+  // The writer emits subnormals; the reader must take them back, not
+  // refuse them the way glibc strtod's ERANGE would.
+  using Limits = std::numeric_limits<double>;
+  auto ds = Dataset::Make(
+      Schema::MakeSynthetic(1, 1),
+      {{Limits::denorm_min(), Limits::min()},
+       {-0.0, Limits::max()},
+       {Limits::lowest(), -Limits::denorm_min()}});
+  ds.status().CheckOK();
+  std::ostringstream out;
+  ASSERT_TRUE(WriteCsv(*ds, out).ok());
+  EXPECT_NE(out.str().find("4.9406564584124654e-324"), std::string::npos);
+  std::istringstream in(out.str());
+  const auto reread = ReadCsv(in);
+  ASSERT_TRUE(reread.ok()) << reread.status().ToString();
+  ASSERT_EQ(reread->size(), ds->size());
+  for (int i = 0; i < ds->size(); ++i) {
+    for (int a = 0; a < 2; ++a) {
+      const double want = ds->value(i, a);
+      const double got = reread->value(i, a);
+      EXPECT_EQ(std::memcmp(&want, &got, sizeof want), 0)
+          << "tuple " << i << " attribute " << a;
+    }
+  }
+}
+
+TEST(CsvTest, OverflowAndUnderflowToZeroAreRefused) {
+  std::istringstream big("a:known:min\n1e999\n");
+  EXPECT_TRUE(ReadCsv(big).status().IsInvalidArgument());
+  std::istringstream tiny("a:known:min\n1e-400\n");
+  EXPECT_TRUE(ReadCsv(tiny).status().IsInvalidArgument());
+}
+
+TEST(CsvTest, ToleratesCrlfLineEndings) {
+  std::istringstream in(
+      "a:known:min,c:crowd:max,label\r\n"
+      "1,2,first\r\n"
+      "\r\n"
+      "3.5,4,second\r\n");
+  const auto ds = ReadCsv(in);
+  ASSERT_TRUE(ds.ok()) << ds.status().ToString();
+  ASSERT_EQ(ds->size(), 2);
+  EXPECT_EQ(ds->schema().attribute(1).direction, Direction::kMax);
+  EXPECT_EQ(ds->value(1, 0), 3.5);
+  EXPECT_EQ(ds->tuple(0).label, "first");
+  EXPECT_EQ(ds->tuple(1).label, "second");
+}
+
+TEST(CsvTest, LastLineWithoutNewlineIsRead) {
+  std::istringstream in("a:known:min\n1\n2");
+  const auto ds = ReadCsv(in);
+  ASSERT_TRUE(ds.ok()) << ds.status().ToString();
+  EXPECT_EQ(ds->size(), 2);
+  EXPECT_EQ(ds->value(1, 0), 2.0);
+}
+
+TEST(CsvTest, WrittenBytesArePrintfSeventeenG) {
+  auto ds = Dataset::Make(Schema::MakeSynthetic(1, 1),
+                          {{0.1, 2.0}, {-1e-5, 123456789.123456789}},
+                          {"x", ""});
+  ds.status().CheckOK();
+  std::ostringstream out;
+  ASSERT_TRUE(WriteCsv(*ds, out).ok());
+  EXPECT_EQ(out.str(),
+            "K1:known:min,C1:crowd:min,label\n"
+            "0.10000000000000001,2,x\n"
+            "-1.0000000000000001e-05,123456789.12345679,\n");
+}
+
 TEST(CsvTest, FileRoundTrip) {
   const Dataset original = MakeRectanglesDataset();
   const std::string path = ::testing::TempDir() + "/crowdsky_csv_test.csv";
@@ -172,6 +245,32 @@ TEST(CsvTest, FileRoundTrip) {
 
 TEST(CsvTest, MissingFileIsIOError) {
   EXPECT_TRUE(ReadCsvFile("/nonexistent/nope.csv").status().IsIOError());
+}
+
+TEST(CsvTest, ReadingADirectoryIsIOError) {
+  const auto r = ReadCsvFile(::testing::TempDir());
+  EXPECT_TRUE(r.status().IsIOError()) << r.status().ToString();
+}
+
+Dataset RowsOfOnes(int n) {
+  return Dataset::Make(Schema::MakeSynthetic(4, 1),
+                       std::vector<std::vector<double>>(
+                           static_cast<size_t>(n), {1, 2, 3, 4, 5}))
+      .ValueOrDie();
+}
+
+TEST(CsvTest, WriteErrorOnASmallFileIsReported) {
+  // Ten rows fit in the stream buffer, so the device's error shows only
+  // when the file is flushed at close.
+  if (!std::filesystem::exists("/dev/full")) GTEST_SKIP() << "no /dev/full";
+  const Status s = WriteCsvFile(RowsOfOnes(10), "/dev/full");
+  EXPECT_TRUE(s.IsIOError()) << s.ToString();
+}
+
+TEST(CsvTest, WriteErrorOnALargeFileIsReported) {
+  if (!std::filesystem::exists("/dev/full")) GTEST_SKIP() << "no /dev/full";
+  const Status s = WriteCsvFile(RowsOfOnes(5000), "/dev/full");
+  EXPECT_TRUE(s.IsIOError()) << s.ToString();
 }
 
 }  // namespace
