@@ -2,9 +2,9 @@
 // driver pays before (and between) crowd questions, measured across the
 // kernel backends of skyline/dominance_kernels.h.
 //
-//  * structure — DominanceStructure construction (the O(n^2) fill that
-//    dominates preprocessing) at n up to 10^5, legacy per-pair Compare vs
-//    the batched scalar and AVX2 kernels,
+//  * structure — full DominanceStructure construction, c(t) and layers
+//    included (the O(n^2) fill dominates preprocessing) at n up to 10^5,
+//    legacy per-pair Compare vs the batched scalar and AVX2 kernels,
 //  * skyline — sort-filter skyline (ComputeSkylineSFS) at n up to 10^6,
 //    including the anti-correlated worst case and a dimensionality sweep.
 //
@@ -94,7 +94,7 @@ int main(int argc, char** argv) {
       size_t skyline_size = 0;
       for (int run = 0; run < runs; ++run) {
         const auto start = std::chrono::steady_clock::now();
-        const DominanceStructure structure(m, backend);
+        const DominanceStructure structure(m, backend, Reduction::kBuild);
         const double ms = MillisSince(start);
         wall_ms += ms;
         skyline_size = structure.known_skyline().size();

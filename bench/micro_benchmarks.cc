@@ -1,9 +1,10 @@
 // google-benchmark micro-benchmarks of the substrates: dominance tests,
 // machine skylines, dominance-structure construction, preference-graph
-// closure maintenance, the CSV codec, and full algorithm runs at a fixed
-// size.
+// closure maintenance, the P2 reduction, the CSV codec, and full algorithm
+// runs at a fixed size.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <filesystem>
 #include <string>
 #include <utility>
@@ -66,28 +67,90 @@ void BM_SkylineSFS(benchmark::State& state) {
 }
 BENCHMARK(BM_SkylineSFS)->Arg(1000)->Arg(4000);
 
-// Args: {cardinality, threads} — threads=0 means DefaultThreads(). The
-// 1-thread rows are the serial baseline for the regression harness; the
-// 0 rows show the parallel build at whatever the machine offers.
+// Args: {cardinality, threads, full} — threads=0 means DefaultThreads();
+// full=1 also builds c(t) and the layers (Reduction::kBuild, what
+// ParallelSL asks for), full=0 is the lean build every other driver uses.
+// The 1-thread rows are the serial baseline for the regression harness;
+// the 0 rows show the parallel build at whatever the machine offers.
 void BM_DominanceStructureBuild(benchmark::State& state) {
   const Dataset ds = MakeData(static_cast<int>(state.range(0)),
                               DataDistribution::kIndependent);
   const PreferenceMatrix m = PreferenceMatrix::FromKnown(ds);
   const ScopedThreads threads(ResolveThreads(state.range(1)));
+  const Reduction reduction =
+      state.range(2) != 0 ? Reduction::kBuild : Reduction::kSkip;
   for (auto _ : state) {
-    DominanceStructure s(m);
+    DominanceStructure s(m, reduction);
     benchmark::DoNotOptimize(s.size());
   }
   state.counters["threads"] =
       static_cast<double>(ThreadPool::Global().num_threads());
 }
 BENCHMARK(BM_DominanceStructureBuild)
-    ->Args({1000, 1})
-    ->Args({1000, 0})
-    ->Args({4000, 1})
-    ->Args({4000, 0})
-    ->Args({10000, 1})
-    ->Args({10000, 0});
+    ->ArgsProduct({{1000, 4000, 10000}, {1, 0}, {0, 1}});
+
+// P2 on one dominating set, shaped like a large_query refresh: n = 4000
+// nodes under a hidden order (a random permutation of the ids), whose
+// graph holds answers between near neighbours in that order plus a few
+// long-range ones, so most pairs are known, as they are among the
+// dominators a query has probed; and 64 sets of 60 random members, about
+// the mean |DS(t)|. Arg: 0 = ReduceToAcSkyline, 1 = the per-member
+// PrunedFromAcSkyline loop it replaced. Items are sets; `survivors` is
+// the mean |SKY_AC(DS)| (about 2.7 here, 1.2 in a large_query refresh).
+void BM_ReduceToAcSkyline(benchmark::State& state) {
+  const int n = 4000;
+  Rng rng(17);
+  std::vector<int> by_rank(static_cast<size_t>(n));
+  for (int i = 0; i < n; ++i) by_rank[static_cast<size_t>(i)] = i;
+  for (size_t i = by_rank.size(); i > 1; --i) {
+    std::swap(by_rank[i - 1], by_rank[static_cast<size_t>(rng.NextBounded(i))]);
+  }
+  CrowdKnowledge knowledge(n, 1);
+  for (int r = 0; r + 1 < n; ++r) {
+    // Up to four answers from rank r: to a later rank within 16, 16,
+    // 256 and n.
+    for (const int reach : {16, 16, 256, n}) {
+      const auto s = static_cast<int>(
+          rng.NextBounded(static_cast<uint64_t>(std::min(reach, n - r - 1))));
+      knowledge
+          .Record(0, by_rank[static_cast<size_t>(r)],
+                  by_rank[static_cast<size_t>(r + 1 + s)],
+                  Answer::kFirstPreferred)
+          .CheckOK();
+    }
+  }
+  std::vector<DynamicBitset> sets(64, DynamicBitset(static_cast<size_t>(n)));
+  for (DynamicBitset& set : sets) {
+    while (set.Count() < 60) {
+      set.Set(static_cast<size_t>(rng.NextBounded(static_cast<uint64_t>(n))));
+    }
+  }
+  const bool per_member = state.range(0) != 0;
+  std::vector<int> members;
+  size_t survivors = 0;
+  for (auto _ : state) {
+    for (const DynamicBitset& set : sets) {
+      DynamicBitset ds = set;
+      if (per_member) {
+        ds.ToVector(&members);
+        for (const int u : members) {
+          if (knowledge.PrunedFromAcSkyline(ds, members, u)) {
+            ds.Reset(static_cast<size_t>(u));
+          }
+        }
+      } else {
+        knowledge.ReduceToAcSkyline(&ds, &members);
+      }
+      survivors += ds.Count();
+    }
+  }
+  const int64_t reduced =
+      state.iterations() * static_cast<int64_t>(sets.size());
+  state.SetItemsProcessed(reduced);
+  state.counters["survivors"] =
+      static_cast<double>(survivors) / static_cast<double>(reduced);
+}
+BENCHMARK(BM_ReduceToAcSkyline)->Arg(0)->Arg(1)->Unit(benchmark::kMicrosecond);
 
 void BM_ParallelSkylineBNL(benchmark::State& state) {
   const Dataset ds = MakeData(static_cast<int>(state.range(0)),
@@ -268,7 +331,8 @@ BENCHMARK(BM_CrowdSkyEndToEnd)->Arg(500)->Arg(2000);
 void BM_ParallelSLEndToEnd(benchmark::State& state) {
   const Dataset ds = MakeData(static_cast<int>(state.range(0)),
                               DataDistribution::kIndependent);
-  const DominanceStructure structure(PreferenceMatrix::FromKnown(ds));
+  const DominanceStructure structure(PreferenceMatrix::FromKnown(ds),
+                                     Reduction::kBuild);
   for (auto _ : state) {
     PerfectOracle oracle(ds);
     CrowdSession session(&oracle);

@@ -60,8 +60,9 @@ inline void RoundsSweep(const std::string& title, DataDistribution dist,
         opt.seed = 2000 + static_cast<uint64_t>(run) * 41;
         datasets[run] =
             std::make_unique<Dataset>(GenerateDataset(opt).ValueOrDie());
+        // Shared by every method, ParallelSL included: build c(t).
         structures[run] = std::make_unique<DominanceStructure>(
-            PreferenceMatrix::FromKnown(*datasets[run]));
+            PreferenceMatrix::FromKnown(*datasets[run]), Reduction::kBuild);
       }
     });
     std::vector<CellMetrics> cells(runs * num_methods);

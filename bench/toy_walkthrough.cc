@@ -120,7 +120,8 @@ int main() {
   bench::JsonReportScope report("toy_walkthrough");
   const Dataset toy = MakeToyDataset();
   std::printf("CrowdSky toy walkthrough (Figure 1 dataset, 12 tuples)\n");
-  const DominanceStructure structure(PreferenceMatrix::FromKnown(toy));
+  const DominanceStructure structure(PreferenceMatrix::FromKnown(toy),
+                                     Reduction::kBuild);
   PrintDominatingSets(toy, structure);
   PrintLayers(toy, structure);
   RunAlgorithms(toy);

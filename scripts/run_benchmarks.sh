@@ -139,7 +139,7 @@ if selected micro; then
               --benchmark_out_format=json)
   if [[ ${smoke} -eq 1 ]]; then
     micro_args+=(--benchmark_min_time=0.01
-                 --benchmark_filter='BM_(DominanceStructureBuild|BitsetOrWithCount|BitsetAndNotCount|PreferenceGraph|Csv)')
+                 --benchmark_filter='BM_(DominanceStructureBuild|ReduceToAcSkyline|BitsetOrWithCount|BitsetAndNotCount|PreferenceGraph|Csv)')
   fi
   if ! "${build_dir}/bench/micro_benchmarks" "${micro_args[@]}" \
       > "${out_dir}/micro_benchmarks.log" 2>&1; then

@@ -71,6 +71,38 @@ bool CrowdKnowledge::PrunedFromAcSkyline(const DynamicBitset& mask,
   return false;
 }
 
+void CrowdKnowledge::ReduceToAcSkyline(DynamicBitset* ds,
+                                       std::vector<int>* scratch) const {
+  if (num_attrs() == 1 && graphs_[0].merge_count() == 0) {
+    // Clearing the descendants of any member of ds is sound: each cleared
+    // member has an ancestor in ds. A maximal member (no ancestor in ds)
+    // is never cleared, so every one is still in ds when the loop reaches
+    // it, and every other member has a maximal ancestor — the graph is
+    // acyclic and its closure transitive — whose clear removes it. The
+    // result is the maximal members whatever the order. The climb makes
+    // each clear start from a maximal member, so the first clears remove
+    // the most and few members are visited at all.
+    const PreferenceGraph& g = graphs_[0];
+    const size_t none = ds->size();
+    for (size_t u = ds->FindFirst(); u != none; u = ds->FindNext(u + 1)) {
+      auto m = static_cast<int>(u);
+      for (size_t a = g.FirstAncestorIn(*ds, m); a != none;
+           a = g.FirstAncestorIn(*ds, m)) {
+        m = static_cast<int>(a);
+      }
+      g.ClearDescendantsFrom(m, ds);
+    }
+    return;
+  }
+  ds->ToVector(scratch);
+  if (scratch->size() < 2) return;
+  for (const int u : *scratch) {
+    if (PrunedFromAcSkyline(*ds, *scratch, u)) {
+      ds->Reset(static_cast<size_t>(u));
+    }
+  }
+}
+
 int64_t CrowdKnowledge::contradiction_count() const {
   int64_t total = 0;
   for (const PreferenceGraph& g : graphs_) total += g.contradiction_count();

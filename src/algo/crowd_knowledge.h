@@ -69,6 +69,15 @@ class CrowdKnowledge {
   bool PrunedFromAcSkyline(const DynamicBitset& mask,
                            const std::vector<int>& members, int u) const;
 
+  /// P2 (Corollary 2): reduces `ds` to SKY_AC(ds), dropping exactly the
+  /// members PrunedFromAcSkyline would drop when tested one at a time
+  /// against the shrinking set. With one crowd attribute and no merges
+  /// that is every member with an ancestor in ds: the climb from each
+  /// remaining member to a maximal one (no ancestor left in ds) and one
+  /// AND-NOT of its descendant row remove them a row at a time. Otherwise
+  /// the per-member test runs; `scratch` holds its member list.
+  void ReduceToAcSkyline(DynamicBitset* ds, std::vector<int>* scratch) const;
+
   /// Total contradictions rejected across all attribute graphs.
   int64_t contradiction_count() const;
 

@@ -29,14 +29,7 @@ void TupleEvaluator::Refresh() {
   }
   if (pruning_.use_p2) {
     // P2 (Corollary 2): only SKY_AC(DS(t)) needs to be compared with t.
-    ds_.ToVector(&members_);
-    if (members_.size() > 1) {
-      for (const int u : members_) {
-        if (knowledge_->PrunedFromAcSkyline(ds_, members_, u)) {
-          ds_.Reset(static_cast<size_t>(u));
-        }
-      }
-    }
+    knowledge_->ReduceToAcSkyline(&ds_, &members_);
   }
 }
 

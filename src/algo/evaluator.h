@@ -6,7 +6,10 @@
 // Lifecycle per tuple t:
 //   1. start from DS(t);
 //   2. refresh: P1 drops complete non-skyline dominators, P2 reduces DS(t)
-//      to SKY_AC(DS(t)) using the preference tree;
+//      to SKY_AC(DS(t)) using the preference tree — in bulk with one crowd
+//      attribute and no merges (CrowdKnowledge::ReduceToAcSkyline: climb
+//      to each maximal member, clear its descendant row), member by
+//      member otherwise;
 //   3. P3 probes DS(t) pair-by-pair in descending freq(u, v), removing the
 //      AC-dominated endpoint of each resolved pair;
 //   4. Q(t): ask (s, t) for the surviving dominators until one weakly
@@ -131,8 +134,8 @@ class TupleEvaluator {
 
   Phase phase_ = Phase::kInit;
   DynamicBitset ds_;
-  /// Snapshot of the members of ds_ taken by Refresh() and
-  /// BuildProbePairs(); one buffer reused across calls.
+  /// Member list of ds_: BuildProbePairs()'s snapshot, and the scratch of
+  /// the P2 reduction's per-member path; one buffer reused across calls.
   std::vector<int> members_;
   std::vector<ProbePair> probe_pairs_;
   size_t probe_idx_ = 0;

@@ -9,9 +9,15 @@ namespace crowdsky {
 
 AccuracyMetrics EvaluateNewSkylineAccuracy(
     const Dataset& dataset, const std::vector<int>& result_skyline) {
+  return EvaluateNewSkylineAccuracy(
+      dataset, result_skyline,
+      ComputeSkylineSFS(PreferenceMatrix::FromKnown(dataset)));
+}
+
+AccuracyMetrics EvaluateNewSkylineAccuracy(
+    const Dataset& dataset, const std::vector<int>& result_skyline,
+    const std::vector<int>& known_sky) {
   const std::vector<int> truth = ComputeGroundTruthSkyline(dataset);
-  const std::vector<int> known_sky =
-      ComputeSkylineSFS(PreferenceMatrix::FromKnown(dataset));
 
   auto subtract = [](const std::vector<int>& a, const std::vector<int>& b) {
     std::vector<int> out;

@@ -22,7 +22,14 @@ struct AccuracyMetrics {
 /// Evaluates `result_skyline` (ascending ids) against the ground-truth
 /// skyline computed from the dataset's hidden crowd values. Conventions:
 /// empty retrieved set gives precision 1; empty truth set gives recall 1.
+/// Computes SKY_AK(R) itself and delegates to the form below.
 AccuracyMetrics EvaluateNewSkylineAccuracy(
     const Dataset& dataset, const std::vector<int>& result_skyline);
+
+/// Same, with SKY_AK(R) (ascending ids) supplied by a caller that already
+/// holds it — e.g. DominanceStructure::known_skyline().
+AccuracyMetrics EvaluateNewSkylineAccuracy(
+    const Dataset& dataset, const std::vector<int>& result_skyline,
+    const std::vector<int>& known_skyline);
 
 }  // namespace crowdsky

@@ -122,14 +122,7 @@ AlgoResult RunParallelDSet(const Dataset& dataset,
         ds = structure.dominator_bits(t);
       }
       if (options.pruning.use_p2) {
-        ds.ToVector(&members);
-        if (members.size() > 1) {
-          for (const int u : members) {
-            if (knowledge.PrunedFromAcSkyline(ds, members, u)) {
-              ds.Reset(static_cast<size_t>(u));
-            }
-          }
-        }
+        knowledge.ReduceToAcSkyline(&ds, &members);
       }
       effective.push_back(std::move(ds));
     }

@@ -13,6 +13,9 @@ AlgoResult RunParallelSL(const Dataset& dataset,
                          const DominanceStructure& structure,
                          CrowdSession* session,
                          const CrowdSkyOptions& options) {
+  CROWDSKY_CHECK_MSG(structure.has_reduction(),
+                     "ParallelSL schedules by c(t): build its structure "
+                     "with Reduction::kBuild");
   const int n = dataset.size();
   CrowdKnowledge knowledge(n, dataset.schema().num_crowd(),
                            options.contradiction_policy);
@@ -151,7 +154,8 @@ AlgoResult RunParallelSL(const Dataset& dataset,
 
 AlgoResult RunParallelSL(const Dataset& dataset, CrowdSession* session,
                          const CrowdSkyOptions& options) {
-  const DominanceStructure structure(PreferenceMatrix::FromKnown(dataset));
+  const DominanceStructure structure(PreferenceMatrix::FromKnown(dataset),
+                                     Reduction::kBuild);
   return RunParallelSL(dataset, structure, session, options);
 }
 

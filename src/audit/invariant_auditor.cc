@@ -291,6 +291,9 @@ void InvariantAuditor::AuditDominanceStructure(
                     " ids, brute force finds " +
                     std::to_string(expected_skyline.size()));
 
+  // c(t) and the layers exist only where a reader asked for them.
+  if (!structure.has_reduction()) return;
+
   // Skyline layers: layer(t) = 1 + max layer over DS(t). Processing in
   // ascending |DS| is a valid topological order (Lemma 3).
   std::vector<int> by_ds(un);

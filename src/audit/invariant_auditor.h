@@ -123,8 +123,10 @@ class InvariantAuditor {
   /// Recomputes AK dominance pair-by-pair from `known` and checks every
   /// derived view of `structure` against it: dominator/dominatee bitsets
   /// (mutual transposes), |DS(t)| sizes, the ascending-|DS| evaluation
-  /// order, SKY_AK, skyline layers, and the direct-dominator transitive
-  /// reduction. Skipped (with no violation) above max_brute_force_nodes.
+  /// order, SKY_AK, and — when the structure was built with them
+  /// (has_reduction()) — the skyline layers and the direct-dominator
+  /// transitive reduction. Skipped (with no violation) above
+  /// max_brute_force_nodes.
   void AuditDominanceStructure(const DominanceStructure& structure,
                                const PreferenceMatrix& known,
                                AuditReport* report) const;

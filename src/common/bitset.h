@@ -255,6 +255,19 @@ class DynamicBitset {
     }
   }
 
+  /// Index of the lowest bit set in both this and other, or size() if
+  /// none — FindFirst of the intersection without materializing it.
+  size_t FindFirstAnd(const DynamicBitset& other) const {
+    CROWDSKY_DCHECK(size_ == other.size_);
+    for (size_t wi = 0; wi < words_.size(); ++wi) {
+      const Word w = words_[wi] & other.words_[wi];
+      if (w != 0) {
+        return wi * kBitsPerWord + static_cast<size_t>(__builtin_ctzll(w));
+      }
+    }
+    return size_;
+  }
+
   /// Calls fn(index) for every set bit, in increasing index order.
   template <typename Fn>
   void ForEachSetBit(Fn&& fn) const {

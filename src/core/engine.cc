@@ -312,7 +312,12 @@ Result<EngineResult> RunSkylineQuery(const Dataset& dataset,
 
   obs::TraceSpan structure_span =
       obs::SpanIf(observer.get(), "setup.dominance_structure");
-  const DominanceStructure structure(PreferenceMatrix::FromKnown(dataset));
+  // Only ParallelSL's scheduler reads c(t) and the layers; the auditor
+  // checks them only where they were built.
+  const DominanceStructure structure(
+      PreferenceMatrix::FromKnown(dataset),
+      options.algorithm == Algorithm::kParallelSL ? Reduction::kBuild
+                                                  : Reduction::kSkip);
   structure_span.End();
 
   obs::TraceSpan oracle_span = obs::SpanIf(observer.get(), "setup.oracle");
@@ -513,7 +518,8 @@ Result<EngineResult> RunSkylineQuery(const Dataset& dataset,
   for (const int id : result.algo.skyline) {
     result.skyline_labels.push_back(dataset.tuple(id).label);
   }
-  result.accuracy = EvaluateNewSkylineAccuracy(dataset, result.algo.skyline);
+  result.accuracy = EvaluateNewSkylineAccuracy(
+      dataset, result.algo.skyline, structure.known_skyline());
   AmtCostModel cost = options.cost_model;
   cost.workers_per_question = options.workers_per_question;
   result.cost_usd = cost.Cost(result.algo.questions_per_round);

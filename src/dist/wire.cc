@@ -103,14 +103,14 @@ class Fields {
   double Double(const std::string& key, double fallback = 0.0) {
     const auto it = map_.find(key);
     if (it == map_.end()) return fallback;
-    errno = 0;
-    char* end = nullptr;
-    const double v = std::strtod(it->second.c_str(), &end);
-    if (errno != 0 || end == it->second.c_str() || *end != '\0') {
+    // ParseDouble keeps the subnormals PutF writes; strtod's ERANGE on
+    // them is not a failure.
+    const Result<double> v = ParseDouble(it->second);
+    if (!v.ok()) {
       Fail("bad double for '" + key + "': " + it->second);
       return fallback;
     }
-    return v;
+    return *v;
   }
 
   bool Bool(const std::string& key, bool fallback = false) {
@@ -449,10 +449,15 @@ Result<ShardResult> DecodeShardResult(const std::string& text) {
 Result<std::string> ReadFileToString(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
   if (!in) return Status::IOError("cannot open '" + path + "'");
-  std::ostringstream buf;
-  buf << in.rdbuf();
+  std::string text;
+  char chunk[1 << 16];
+  while (in.read(chunk, sizeof chunk) || in.gcount() > 0) {
+    text.append(chunk, static_cast<size_t>(in.gcount()));
+  }
+  // A read error (the path named a directory) sets badbit; end of input
+  // sets only eofbit and failbit.
   if (in.bad()) return Status::IOError("read failed for '" + path + "'");
-  return buf.str();
+  return text;
 }
 
 Status WriteFileAtomic(const std::string& path, const std::string& content) {

@@ -68,6 +68,19 @@ class PreferenceGraph {
   /// True iff some node in `ids` other than v is weakly preferred over v.
   bool AnyWeaklyPrefers(const DynamicBitset& ids, int v) const;
 
+  /// Lowest id in `ids` that is strictly preferred over u, or ids.size()
+  /// if none. Only valid without merges (ids are then representatives).
+  size_t FirstAncestorIn(const DynamicBitset& ids, int u) const {
+    CROWDSKY_DCHECK(merges_ == 0 && ids.size() == static_cast<size_t>(n_));
+    return anc_[static_cast<size_t>(u)].FindFirstAnd(ids);
+  }
+  /// Clears every node u is strictly preferred over from `ids`, one
+  /// word-wise AND-NOT. Only valid without merges.
+  void ClearDescendantsFrom(int u, DynamicBitset* ids) const {
+    CROWDSKY_DCHECK(merges_ == 0 && ids->size() == static_cast<size_t>(n_));
+    ids->AndNotWith(desc_[static_cast<size_t>(u)]);
+  }
+
   /// Union-find representative of v's equivalence class.
   int representative(int v) const { return Find(v); }
 

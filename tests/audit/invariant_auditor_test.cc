@@ -138,7 +138,7 @@ TEST(DominanceAuditTest, CleanStructurePasses) {
   gen.seed = 11;
   const Dataset ds = GenerateDataset(gen).ValueOrDie();
   const PreferenceMatrix known = PreferenceMatrix::FromKnown(ds);
-  const DominanceStructure structure(known);
+  const DominanceStructure structure(known, Reduction::kBuild);
   AuditReport report;
   InvariantAuditor().AuditDominanceStructure(structure, known, &report);
   EXPECT_TRUE(report.ok()) << report.ToString();

@@ -500,5 +500,22 @@ TEST(DynamicBitsetTest, ToVectorIntoBufferReplacesContent) {
   EXPECT_EQ(out, b.ToVector());
 }
 
+TEST(DynamicBitsetTest, FindFirstAndMatchesMaterializedIntersection) {
+  Rng rng(23);
+  for (const size_t n : {0u, 1u, 63u, 64u, 65u, 200u}) {
+    for (int trial = 0; trial < 20; ++trial) {
+      DynamicBitset a(n);
+      DynamicBitset b(n);
+      for (size_t i = 0; i < n; ++i) {
+        if (rng.Bernoulli(0.1)) a.Set(i);
+        if (rng.Bernoulli(0.1)) b.Set(i);
+      }
+      DynamicBitset both = a;
+      both.AndWith(b);
+      EXPECT_EQ(a.FindFirstAnd(b), both.FindFirst()) << "n " << n;
+    }
+  }
+}
+
 }  // namespace
 }  // namespace crowdsky

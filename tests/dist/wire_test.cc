@@ -2,7 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
 #include <cstdio>
+#include <filesystem>
+#include <limits>
 #include <string>
 
 #include "testing/temp_dir.h"
@@ -185,6 +189,41 @@ TEST(WireTest, WriteFileAtomicLeavesNoTmpAndRoundTrips) {
   ASSERT_TRUE(WriteFileAtomic(path, "second").ok());
   EXPECT_EQ(ReadFileToString(path).ValueOrDie(), "second");
   std::remove(path.c_str());
+}
+
+// PutF writes subnormals, and glibc's strtod flags them with ERANGE; the
+// readers must still take them back bit-exactly.
+TEST(WireTest, SubnormalDoublesRoundTrip) {
+  const double tiny = std::numeric_limits<double>::denorm_min();
+  const double sub = std::numeric_limits<double>::min() / 3;
+  ShardResult r;
+  r.ok = true;
+  r.cost_usd = tiny;
+  const Result<ShardResult> result = DecodeShardResult(EncodeShardResult(r));
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  EXPECT_EQ(std::bit_cast<uint64_t>(result.ValueOrDie().cost_usd),
+            std::bit_cast<uint64_t>(tiny));
+
+  ShardSpec spec;
+  spec.engine.worker.p_stddev = sub;
+  const Result<ShardSpec> decoded = DecodeShardSpec(EncodeShardSpec(spec));
+  ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
+  const double p_stddev = decoded.ValueOrDie().engine.worker.p_stddev;
+  EXPECT_EQ(std::bit_cast<uint64_t>(p_stddev), std::bit_cast<uint64_t>(sub));
+
+  // Underflow to zero and overflow are still refused.
+  for (const char* bad : {"cost_usd=1e-400\n", "cost_usd=1e999\n"}) {
+    EXPECT_FALSE(DecodeShardResult(EncodeShardResult(r) + bad).ok()) << bad;
+  }
+}
+
+TEST(WireTest, ReadFileToStringRefusesDirectory) {
+  const std::string dir = crowdsky::testing::FreshTempDir("wire_dir");
+  ASSERT_TRUE(std::filesystem::create_directories(dir));
+  const Result<std::string> read = ReadFileToString(dir);
+  EXPECT_FALSE(read.ok());
+  EXPECT_TRUE(read.status().IsIOError()) << read.status().ToString();
+  std::filesystem::remove_all(dir);
 }
 
 }  // namespace

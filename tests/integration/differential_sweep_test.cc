@@ -108,6 +108,11 @@ TEST_P(DifferentialSweepTest, DriversAgreeWithBruteForce) {
   const Dataset ds = GenerateDataset(cell.gen).ValueOrDie();
   const std::vector<int> truth = ComputeGroundTruthSkyline(ds);
   ScopedThreads threads(cell.threads);
+  // The engine scores accuracy with the structure's SKY_AK instead of
+  // recomputing it; the two must agree.
+  const PreferenceMatrix known = PreferenceMatrix::FromKnown(ds);
+  EXPECT_EQ(DominanceStructure(known).known_skyline(),
+            ComputeSkylineSFS(known));
 
   std::vector<EngineResult> results;
   for (const Algorithm driver : kDrivers) {
@@ -119,6 +124,12 @@ TEST_P(DifferentialSweepTest, DriversAgreeWithBruteForce) {
     results.push_back(*r);
 
     const AlgoResult& a = r->algo;
+    const AccuracyMetrics recomputed =
+        EvaluateNewSkylineAccuracy(ds, a.skyline);
+    EXPECT_EQ(r->accuracy.f1, recomputed.f1) << AlgorithmName(driver);
+    EXPECT_EQ(r->accuracy.truth_new, recomputed.truth_new);
+    EXPECT_EQ(r->accuracy.retrieved_new, recomputed.retrieved_new);
+    EXPECT_EQ(r->accuracy.correct_new, recomputed.correct_new);
     if (a.completeness.complete) {
       // Perfectly accurate answers: the exact skyline, regardless of the
       // fault plan, thread count or durability mode.
@@ -168,6 +179,42 @@ TEST_P(DifferentialSweepTest, DriversAgreeWithBruteForce) {
         results[i].algo.completeness.complete) {
       EXPECT_EQ(results[i].algo.skyline, results[0].algo.skyline);
     }
+  }
+}
+
+// The auditor only observes: with it off, every driver returns the same
+// skyline and ledgers. (ParallelSL's structure carries c(t) either way;
+// the other drivers' carries it in neither.)
+TEST_P(DifferentialSweepTest, AuditOnAndOffGiveIdenticalResults) {
+  const int index = GetParam();
+  const SweepCell cell = DecodeCell(index);
+  SCOPED_TRACE("cell " + std::to_string(index));
+  const Dataset ds = GenerateDataset(cell.gen).ValueOrDie();
+  ScopedThreads threads(cell.threads);
+  for (const Algorithm driver : kDrivers) {
+    std::vector<EngineResult> runs;
+    for (const bool audit : {true, false}) {
+      const std::string dir = crowdsky::testing::FreshTempDir(
+          std::string("audit_") + (audit ? "on_" : "off_") +
+          AlgorithmName(driver));
+      EngineOptions options = CellOptions(cell, driver, dir);
+      options.crowdsky.audit = audit;
+      const auto r = RunSkylineQuery(ds, options);
+      ASSERT_TRUE(r.ok()) << AlgorithmName(driver) << ": "
+                          << r.status().ToString();
+      runs.push_back(*r);
+    }
+    const AlgoResult& on = runs[0].algo;
+    const AlgoResult& off = runs[1].algo;
+    EXPECT_EQ(on.skyline, off.skyline) << AlgorithmName(driver);
+    EXPECT_EQ(on.questions_per_round, off.questions_per_round)
+        << AlgorithmName(driver);
+    EXPECT_EQ(on.free_lookups, off.free_lookups) << AlgorithmName(driver);
+    EXPECT_EQ(on.worker_answers, off.worker_answers) << AlgorithmName(driver);
+    EXPECT_EQ(on.completeness.undetermined_tuples,
+              off.completeness.undetermined_tuples)
+        << AlgorithmName(driver);
+    EXPECT_EQ(runs[0].cost_usd, runs[1].cost_usd) << AlgorithmName(driver);
   }
 }
 

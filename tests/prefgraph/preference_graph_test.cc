@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 namespace crowdsky {
 namespace {
 
@@ -169,6 +171,23 @@ TEST(PreferenceGraphTest, ZeroAndOneNodeGraphs) {
   EXPECT_TRUE(g1.Equivalent(0, 0));  // reflexive
   EXPECT_TRUE(g1.Comparable(0, 0));
   EXPECT_FALSE(g1.Prefers(0, 0));
+}
+
+TEST(PreferenceGraphTest, FirstAncestorInAndClearDescendantsFrom) {
+  // 0 -> 1 -> 2, 3 -> 2, 70 -> 0, across a word boundary.
+  PreferenceGraph g(130);
+  ASSERT_TRUE(g.AddPreference(0, 1).ok());
+  ASSERT_TRUE(g.AddPreference(1, 2).ok());
+  ASSERT_TRUE(g.AddPreference(3, 2).ok());
+  ASSERT_TRUE(g.AddPreference(70, 0).ok());
+  DynamicBitset ids(130);
+  for (const size_t i : {1u, 2u, 3u, 70u, 129u}) ids.Set(i);
+  EXPECT_EQ(g.FirstAncestorIn(ids, 2), 1u);   // ancestors 0, 1, 3, 70
+  EXPECT_EQ(g.FirstAncestorIn(ids, 1), 70u);  // 0 is not in ids
+  EXPECT_EQ(g.FirstAncestorIn(ids, 70), 130u);
+  EXPECT_EQ(g.FirstAncestorIn(ids, 129), 130u);
+  g.ClearDescendantsFrom(70, &ids);  // drops 1 and 2, keeps 70 itself
+  EXPECT_EQ(ids.ToVector(), (std::vector<int>{3, 70, 129}));
 }
 
 }  // namespace

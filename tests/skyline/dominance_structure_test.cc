@@ -4,7 +4,10 @@
 
 #include <map>
 #include <set>
+#include <string>
+#include <vector>
 
+#include "audit/invariant_auditor.h"
 #include "data/generator.h"
 #include "data/toy.h"
 #include "skyline/algorithms.h"
@@ -13,7 +16,8 @@ namespace crowdsky {
 namespace {
 
 DominanceStructure ToyStructure() {
-  return DominanceStructure(PreferenceMatrix::FromKnown(MakeToyDataset()));
+  return DominanceStructure(PreferenceMatrix::FromKnown(MakeToyDataset()),
+                            Reduction::kBuild);
 }
 
 std::set<char> Labels(const std::vector<int>& ids) {
@@ -118,7 +122,7 @@ TEST(DominanceStructureTest, RandomizedInvariants) {
     opt.seed = 11;
     const Dataset ds = GenerateDataset(opt).ValueOrDie();
     const PreferenceMatrix m = PreferenceMatrix::FromKnown(ds);
-    const DominanceStructure s(m);
+    const DominanceStructure s(m, Reduction::kBuild);
 
     for (int t = 0; t < s.size(); ++t) {
       // Dominator/dominatee bitsets are transposes of each other.
@@ -208,10 +212,73 @@ TEST(DominanceStructureTest, DuplicateRowsDoNotDominate) {
 TEST(DominanceStructureTest, SingleTuple) {
   auto ds = Dataset::Make(Schema::MakeSynthetic(2, 1), {{1, 2, 3}});
   ds.status().CheckOK();
-  const DominanceStructure s(PreferenceMatrix::FromKnown(*ds));
+  const DominanceStructure s(PreferenceMatrix::FromKnown(*ds),
+                             Reduction::kBuild);
   EXPECT_EQ(s.size(), 1);
   EXPECT_EQ(s.num_layers(), 1);
   EXPECT_EQ(s.known_skyline(), std::vector<int>{0});
+}
+
+// Every field a lean build holds equals the full build's, on every
+// backend, across the word-boundary sizes n % 64 in {0, 1, 63}; the full
+// builds agree on c(t) and the layers across backends, and the brute-force
+// auditor accepts them.
+TEST(DominanceStructureTest, LeanAndFullBuildsAgreeOnEveryBackend) {
+  std::vector<KernelBackend> backends = {KernelBackend::kLegacy,
+                                         KernelBackend::kScalar};
+  if (CpuSupportsAvx2()) backends.push_back(KernelBackend::kAvx2);
+  uint64_t seed = 40;
+  for (const int n : {64, 65, 127, 128, 129, 191}) {
+    for (const auto dist : {DataDistribution::kIndependent,
+                            DataDistribution::kAntiCorrelated}) {
+      GeneratorOptions opt;
+      opt.cardinality = n;
+      opt.num_known = 3;
+      opt.num_crowd = 1;
+      opt.distribution = dist;
+      opt.seed = ++seed;
+      const Dataset ds = GenerateDataset(opt).ValueOrDie();
+      const PreferenceMatrix m = PreferenceMatrix::FromKnown(ds);
+      const DominanceStructure reference(m, KernelBackend::kLegacy,
+                                         Reduction::kBuild);
+      audit::AuditReport report;
+      audit::InvariantAuditor().AuditDominanceStructure(reference, m, &report);
+      ASSERT_TRUE(report.ok()) << report.ToString();
+      for (const KernelBackend backend : backends) {
+        const std::string label = "n=" + std::to_string(n) + " " +
+                                  KernelBackendName(backend) + " " +
+                                  DataDistributionName(dist);
+        const DominanceStructure lean(m, backend);
+        const DominanceStructure full(m, backend, Reduction::kBuild);
+        EXPECT_FALSE(lean.has_reduction()) << label;
+        EXPECT_TRUE(full.has_reduction()) << label;
+        ASSERT_EQ(lean.size(), full.size()) << label;
+        for (int t = 0; t < n; ++t) {
+          EXPECT_EQ(lean.dominator_bits(t), full.dominator_bits(t)) << label;
+          EXPECT_EQ(lean.dominatees(t), full.dominatees(t)) << label;
+          EXPECT_EQ(lean.dominating_set_size(t), full.dominating_set_size(t))
+              << label;
+          EXPECT_EQ(full.direct_dominators(t), reference.direct_dominators(t))
+              << label << " t=" << t;
+          EXPECT_EQ(full.layer_of(t), reference.layer_of(t)) << label;
+        }
+        EXPECT_EQ(lean.evaluation_order(), full.evaluation_order()) << label;
+        EXPECT_EQ(lean.known_skyline(), full.known_skyline()) << label;
+        ASSERT_EQ(full.num_layers(), reference.num_layers()) << label;
+        for (int l = 1; l <= full.num_layers(); ++l) {
+          EXPECT_EQ(full.layer(l), reference.layer(l)) << label;
+        }
+      }
+    }
+  }
+}
+
+TEST(DominanceStructureDeathTest, ReductionAccessorsAbortOnLeanBuild) {
+  const DominanceStructure lean(PreferenceMatrix::FromKnown(MakeToyDataset()));
+  EXPECT_DEATH(lean.direct_dominators(ToyId('j')), "Reduction::kBuild");
+  EXPECT_DEATH(lean.layer_of(ToyId('j')), "Reduction::kBuild");
+  EXPECT_DEATH(lean.num_layers(), "Reduction::kBuild");
+  EXPECT_DEATH(lean.layer(1), "Reduction::kBuild");
 }
 
 }  // namespace

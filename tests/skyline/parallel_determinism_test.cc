@@ -53,11 +53,11 @@ TEST(ParallelDeterminismTest, DominanceStructureIdenticalAcrossThreadCounts) {
     std::unique_ptr<DominanceStructure> serial;
     {
       ScopedThreads one(1);
-      serial = std::make_unique<DominanceStructure>(m);
+      serial = std::make_unique<DominanceStructure>(m, Reduction::kBuild);
     }
     for (const int threads : {2, 4, 7}) {
       ScopedThreads scoped(threads);
-      const DominanceStructure parallel_built(m);
+      const DominanceStructure parallel_built(m, Reduction::kBuild);
       ExpectIdenticalStructures(*serial, parallel_built);
     }
   }
@@ -115,7 +115,8 @@ TEST(ParallelDeterminismTest, RoundsSweepCellsIdentical) {
   const auto measure = [](size_t method) {
     const Dataset ds =
         MakeData(300, DataDistribution::kAntiCorrelated, 2000);
-    const DominanceStructure structure(PreferenceMatrix::FromKnown(ds));
+    const DominanceStructure structure(PreferenceMatrix::FromKnown(ds),
+                                       Reduction::kBuild);
     return bench::MeasureRoundsCell(ds, structure, method);
   };
   for (size_t method = 0; method < bench::RoundsMethods().size(); ++method) {
