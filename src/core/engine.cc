@@ -3,6 +3,7 @@
 #include <cstring>
 #include <filesystem>
 #include <memory>
+#include <type_traits>
 #include <utility>
 
 #include "algo/baseline_sort.h"
@@ -13,6 +14,7 @@
 #include "audit/invariant_auditor.h"
 #include "common/random.h"
 #include "common/thread_pool.h"
+#include "core/options_schema.h"
 #include "crowd/oracle.h"
 #include "crowd/session.h"
 #include "crowd/voting.h"
@@ -39,6 +41,16 @@ struct Fingerprinter {
     Add(bits);
   }
   void AddB(bool v) { Add(v ? 1 : 0); }
+  /// One listed option field: doubles by bit pattern, every integral or
+  /// enum field as its int64 value.
+  template <class T>
+  void AddField(const T& v) {
+    if constexpr (std::is_floating_point_v<T>) {
+      AddF(v);
+    } else {
+      AddI(static_cast<int64_t>(v));
+    }
+  }
 };
 
 /// The engine-side DriverCheckpointHook: at each quiescent driver point,
@@ -146,43 +158,12 @@ uint64_t RunFingerprint(const Dataset& dataset,
   for (const Tuple& t : dataset.tuples()) {
     for (const double v : t.values) fp.AddF(v);
   }
-  // Everything that shapes the question/answer stream. The audit flag and
-  // the durability options are deliberately left out (see header).
-  fp.AddI(static_cast<int>(options.algorithm));
-  fp.AddI(static_cast<int>(options.oracle));
-  fp.AddF(options.worker.p_correct);
-  fp.AddF(options.worker.p_stddev);
-  fp.AddF(options.worker.spammer_fraction);
-  fp.AddF(options.worker.unary_sigma);
-  fp.AddI(options.workers_per_question);
-  fp.AddB(options.dynamic_voting);
-  fp.Add(options.seed);
-  fp.AddI(options.max_questions);
-  fp.AddI(options.marketplace.pool_size);
-  fp.AddF(options.marketplace.population.p_correct);
-  fp.AddF(options.marketplace.population.p_stddev);
-  fp.AddF(options.marketplace.population.spammer_fraction);
-  fp.AddF(options.marketplace.population.unary_sigma);
-  fp.AddI(options.marketplace.gold_questions);
-  fp.AddF(options.marketplace.qualification_threshold);
-  fp.AddB(options.marketplace.weighted_votes);
-  fp.AddF(options.marketplace.faults.transient_error_rate);
-  fp.AddF(options.marketplace.faults.hit_expiration_rate);
-  fp.AddI(options.marketplace.faults.hit_expiration_rounds);
-  fp.AddF(options.marketplace.faults.worker_no_show_rate);
-  fp.AddF(options.marketplace.faults.straggler_rate);
-  fp.AddI(options.marketplace.faults.straggler_delay_rounds);
-  fp.Add(options.marketplace.seed);
-  fp.AddI(options.retry.max_retries);
-  fp.AddI(options.retry.backoff_base_rounds);
-  fp.AddI(options.retry.max_backoff_rounds);
-  fp.AddB(options.crowdsky.pruning.use_p1);
-  fp.AddB(options.crowdsky.pruning.use_p2);
-  fp.AddB(options.crowdsky.pruning.use_p3);
-  fp.AddB(options.crowdsky.pruning.use_completion_break);
-  fp.AddB(options.crowdsky.pruning.use_transitivity);
-  fp.AddI(static_cast<int>(options.crowdsky.contradiction_policy));
-  fp.AddI(static_cast<int>(options.crowdsky.multi_attr));
+  // Everything that shapes the question/answer stream (see
+  // core/options_schema.h for the list and what stays out of it).
+  VisitEngineOptions(options, [&fp](const char*, const auto& v,
+                                    OptionClass cls) {
+    if (cls == OptionClass::kStream) fp.AddField(v);
+  });
   if (options.crowdsky.known_crowd_values != nullptr) {
     for (const DynamicBitset& mask : *options.crowdsky.known_crowd_values) {
       fp.AddI(static_cast<int64_t>(mask.size()));

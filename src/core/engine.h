@@ -257,12 +257,12 @@ struct EngineResult {
 };
 
 /// The run-configuration fingerprint stamped into journals and
-/// checkpoints: a stable hash of the dataset contents and every option
-/// that affects the question/answer stream (the audit flag, the
-/// durability options themselves and the governor are deliberately
-/// excluded — a resume may e.g. turn auditing on, change the checkpoint
-/// cadence, or raise a dollar/round cap to extend a terminated run). A
-/// resume whose fingerprint differs from the journal's is refused.
+/// checkpoints: a stable hash of the dataset contents, the stream fields
+/// of VisitEngineOptions (core/options_schema.h), the known-crowd masks
+/// and the imported answers. Policy fields (audit flag, durability knobs,
+/// cost model, governor caps) are left out, so a resume may e.g. turn
+/// auditing on or raise a cap to extend a terminated run. A resume whose
+/// fingerprint differs from the journal's is refused.
 uint64_t RunFingerprint(const Dataset& dataset, const EngineOptions& options);
 
 /// Runs a crowd-enabled skyline query. Fails on invalid options (no crowd

@@ -86,6 +86,11 @@ Status ValidateOptions(const Dataset& dataset, const DistOptions& options) {
         "engine.imported_answers / round_callback / export_answers are "
         "owned by the coordinator; leave them unset");
   }
+  if (options.engine.wrap_oracle) {
+    return Status::InvalidArgument(
+        "engine.wrap_oracle does not cross the shard process boundary; "
+        "leave it unset");
+  }
   if (options.engine.governor.deadline_seconds > 0 ||
       options.engine.governor.cancel != nullptr) {
     return Status::InvalidArgument(

@@ -79,7 +79,8 @@ struct DistOptions {
   PartitionScheme partition = PartitionScheme::kRoundRobin;
   /// Per-shard engine template. `durability.dir`, `imported_answers`,
   /// `round_callback` and `export_answers` are owned by the coordinator
-  /// and must be unset; a governor dollar cap is split evenly across the
+  /// and must be unset, and so must `wrap_oracle`, which a shard child
+  /// never receives; a governor dollar cap is split evenly across the
   /// shards with the remainder funding the merge. CrowdSky-family
   /// algorithms only.
   EngineOptions engine;

@@ -69,6 +69,10 @@ struct ShardResult {
   std::vector<ImportedAnswer> answers;
 };
 
+/// The engine options travel under the keys of VisitEngineOptions
+/// (core/options_schema.h). The decoders return IOError for a missing,
+/// repeated or unknown key and for a value its field cannot hold (an
+/// out-of-range integer or enum, a bool other than 0/1, an unknown name).
 std::string EncodeShardSpec(const ShardSpec& spec);
 Result<ShardSpec> DecodeShardSpec(const std::string& text);
 

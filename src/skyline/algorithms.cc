@@ -1,7 +1,6 @@
 #include "skyline/algorithms.h"
 
 #include <algorithm>
-#include <numeric>
 
 #include "common/thread_pool.h"
 #include "skyline/dominance_kernels.h"
@@ -9,9 +8,9 @@
 namespace crowdsky {
 namespace {
 
-// Below this cardinality the partition/merge scaffolding costs more than
-// it saves; both algorithms fall back to their serial form (which is also
-// the exact historical code path taken at CROWDSKY_THREADS=1).
+// Below this cardinality the kernel path's partition/merge scaffolding
+// costs more than it saves, so it runs one serial pass (the path taken at
+// CROWDSKY_THREADS=1).
 constexpr int kParallelSkylineThreshold = 256;
 
 // Tile width of the min-corner skip in the kernel SFS path. One bitset
@@ -23,11 +22,11 @@ constexpr size_t kSfsTile = 64;
 // Sorted-prefix length of the seed filter shared by all parallel blocks.
 constexpr size_t kSeedFilterMax = 1024;
 
-// Serial BNL over the contiguous id range [begin, end); returns that
-// block's skyline ids in ascending order.
-std::vector<int> BnlRange(const PreferenceMatrix& m, int begin, int end) {
+// The legacy backend's serial BNL in id order; returns the skyline ids in
+// ascending order.
+std::vector<int> LegacyBnl(const PreferenceMatrix& m) {
   std::vector<int> window;
-  for (int t = begin; t < end; ++t) {
+  for (int t = 0; t < m.size(); ++t) {
     bool dominated = false;
     size_t keep = 0;
     for (size_t i = 0; i < window.size(); ++i) {
@@ -52,14 +51,12 @@ std::vector<int> BnlRange(const PreferenceMatrix& m, int begin, int end) {
   return window;
 }
 
-// Serial SFS over the order slice [begin, end); survivors are returned in
-// score (slice) order, not id order.
-std::vector<int> SfsSlice(const PreferenceMatrix& m,
-                          const std::vector<int>& order, size_t begin,
-                          size_t end) {
+// The legacy backend's serial SFS. Sorted by a monotone score, no tuple
+// can be dominated by a later one, so the window only grows. Returns the
+// skyline ids in ascending order.
+std::vector<int> LegacySfs(const PreferenceMatrix& m) {
   std::vector<int> skyline;
-  for (size_t i = begin; i < end; ++i) {
-    const int t = order[i];
+  for (const int t : ScoreSortedOrder(m)) {
     bool dominated = false;
     for (const int s : skyline) {
       if (m.Dominates(s, t)) {
@@ -68,46 +65,6 @@ std::vector<int> SfsSlice(const PreferenceMatrix& m,
       }
     }
     if (!dominated) skyline.push_back(t);
-  }
-  return skyline;
-}
-
-// Merge pass shared by the parallel paths: keeps candidate i iff no
-// candidate from another block (any block for BNL, an earlier block for
-// SFS — controlled by `earlier_only`) dominates it. Local passes already
-// resolved same-block dominance, and strict dominance is transitive, so a
-// global dominator that was itself eliminated locally is always
-// represented by a surviving candidate from its own block.
-std::vector<int> MergeBlockSkylines(const PreferenceMatrix& m,
-                                    const std::vector<std::vector<int>>& local,
-                                    bool earlier_only) {
-  std::vector<int> cand;
-  std::vector<int> cand_block;
-  for (size_t p = 0; p < local.size(); ++p) {
-    for (const int t : local[p]) {
-      cand.push_back(t);
-      cand_block.push_back(static_cast<int>(p));
-    }
-  }
-  std::vector<char> keep(cand.size(), 1);
-  ParallelFor(0, cand.size(), 16, [&](size_t lo, size_t hi) {
-    for (size_t i = lo; i < hi; ++i) {
-      const int t = cand[i];
-      const int bp = cand_block[i];
-      for (size_t j = 0; j < cand.size(); ++j) {
-        if (cand_block[j] == bp) continue;
-        if (earlier_only && cand_block[j] > bp) continue;
-        if (m.Dominates(cand[j], t)) {
-          keep[i] = 0;
-          break;
-        }
-      }
-    }
-  });
-  std::vector<int> skyline;
-  skyline.reserve(cand.size());
-  for (size_t i = 0; i < cand.size(); ++i) {
-    if (keep[i]) skyline.push_back(cand[i]);
   }
   std::sort(skyline.begin(), skyline.end());
   return skyline;
@@ -243,27 +200,7 @@ std::vector<int> ComputeSkylineBNL(const PreferenceMatrix& m,
     // identical to the classic id-order scan.
     return KernelSkyline(m, backend);
   }
-  const int n = m.size();
-  ThreadPool& pool = ThreadPool::Global();
-  if (pool.num_threads() <= 1 || n < kParallelSkylineThreshold) {
-    return BnlRange(m, 0, n);
-  }
-  // Partition/merge: local BNL per contiguous id block, then a parallel
-  // cross-block filter. The skyline set is unique, so the result is
-  // identical to the serial pass for every block count.
-  const size_t num_blocks =
-      std::min<size_t>(static_cast<size_t>(pool.num_threads()),
-                       static_cast<size_t>(n) / 64);
-  const size_t block = (static_cast<size_t>(n) + num_blocks - 1) / num_blocks;
-  std::vector<std::vector<int>> local(num_blocks);
-  pool.ParallelFor(0, num_blocks, 1, [&](size_t lo, size_t hi) {
-    for (size_t p = lo; p < hi; ++p) {
-      const auto begin = static_cast<int>(p * block);
-      const int end = std::min(n, static_cast<int>((p + 1) * block));
-      local[p] = BnlRange(m, begin, end);
-    }
-  });
-  return MergeBlockSkylines(m, local, /*earlier_only=*/false);
+  return LegacyBnl(m);
 }
 
 std::vector<int> ComputeSkylineSFS(const PreferenceMatrix& m) {
@@ -275,30 +212,7 @@ std::vector<int> ComputeSkylineSFS(const PreferenceMatrix& m,
   if (backend != KernelBackend::kLegacy) {
     return KernelSkyline(m, backend);
   }
-  // Sort by a monotone score: if s dominates t then Score(s) < Score(t),
-  // so no tuple can be dominated by a later one — the window only grows.
-  const std::vector<int> order = ScoreSortedOrder(m);
-  ThreadPool& pool = ThreadPool::Global();
-  if (pool.num_threads() <= 1 || m.size() < kParallelSkylineThreshold) {
-    std::vector<int> skyline = SfsSlice(m, order, 0, order.size());
-    std::sort(skyline.begin(), skyline.end());
-    return skyline;
-  }
-  // Partition the sorted order into contiguous slices. A dominator always
-  // has a strictly smaller score, so the merge only needs to test each
-  // survivor against earlier blocks' survivors.
-  const size_t num_blocks = std::min<size_t>(
-      static_cast<size_t>(pool.num_threads()), order.size() / 64);
-  const size_t block = (order.size() + num_blocks - 1) / num_blocks;
-  std::vector<std::vector<int>> local(num_blocks);
-  pool.ParallelFor(0, num_blocks, 1, [&](size_t lo, size_t hi) {
-    for (size_t p = lo; p < hi; ++p) {
-      const size_t begin = p * block;
-      const size_t end = std::min(order.size(), (p + 1) * block);
-      local[p] = SfsSlice(m, order, begin, end);
-    }
-  });
-  return MergeBlockSkylines(m, local, /*earlier_only=*/true);
+  return LegacySfs(m);
 }
 
 std::vector<int> ComputeGroundTruthSkyline(const Dataset& dataset) {

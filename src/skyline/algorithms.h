@@ -24,7 +24,9 @@ std::vector<int> ComputeSkylineSFS(const PreferenceMatrix& m);
 
 /// Backend-pinned variants — the hooks the differential tests and the
 /// hot-path benchmarks use to compare backends within one process (the
-/// env-selected backend is cached after first use).
+/// env-selected backend is cached after first use). The legacy backend
+/// runs the classic serial pass at every thread count: it is the oracle
+/// the kernel paths are checked against.
 std::vector<int> ComputeSkylineBNL(const PreferenceMatrix& m,
                                    KernelBackend backend);
 std::vector<int> ComputeSkylineSFS(const PreferenceMatrix& m,

@@ -11,6 +11,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -210,6 +211,22 @@ TEST(MergeDifferentialTest, RejectsOptionsTheCoordinatorCannotHonor) {
   bad_fault.faults.push_back(
       {.shard = 9, .kind = ShardFaultKind::kKillAtRound, .value = 1});
   EXPECT_FALSE(RunShardedSkylineQuery(data, bad_fault).ok());
+}
+
+// A shard child never receives the oracle wrapper, so a sharded run that
+// sets one is refused instead of silently running unwrapped.
+TEST(MergeDifferentialTest, RejectsWrapOracle) {
+  const Dataset data = MakeData(DataDistribution::kIndependent, 2, 1, 23);
+  DistOptions options;
+  options.engine = PerfectEngine(Algorithm::kParallelSL);
+  options.run_dir = crowdsky::testing::FreshTempDir("mwrap");
+  options.engine.wrap_oracle = [](std::unique_ptr<CrowdOracle> inner) {
+    return inner;
+  };
+  const Result<DistResult> result = RunShardedSkylineQuery(data, options);
+  ASSERT_FALSE(result.ok());
+  EXPECT_TRUE(result.status().IsInvalidArgument())
+      << result.status().ToString();
 }
 
 }  // namespace

@@ -8,6 +8,8 @@
 #include <filesystem>
 #include <limits>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "testing/temp_dir.h"
 
@@ -224,6 +226,124 @@ TEST(WireTest, ReadFileToStringRefusesDirectory) {
   EXPECT_FALSE(read.ok());
   EXPECT_TRUE(read.status().IsIOError()) << read.status().ToString();
   std::filesystem::remove_all(dir);
+}
+
+// --- decoder refusals ----------------------------------------------------
+
+// `text` with its one occurrence of `from` replaced by `to`.
+std::string ReplaceOnce(const std::string& text, const std::string& from,
+                        const std::string& to) {
+  const size_t at = text.find(from);
+  EXPECT_NE(at, std::string::npos) << from;
+  EXPECT_EQ(text.find(from, at + 1), std::string::npos) << from;
+  std::string out = text;
+  if (at != std::string::npos) out.replace(at, from.size(), to);
+  return out;
+}
+
+ShardResult OkResult() {
+  ShardResult r;
+  r.ok = true;
+  r.skyline = {0, 4};
+  r.questions = 3;
+  return r;
+}
+
+void ExpectRefused(const Result<ShardSpec>& spec, const std::string& what) {
+  ASSERT_FALSE(spec.ok());
+  EXPECT_TRUE(spec.status().IsIOError()) << spec.status().ToString();
+  EXPECT_NE(spec.status().ToString().find("bad shard spec: " + what),
+            std::string::npos)
+      << spec.status().ToString();
+}
+
+void ExpectRefused(const Result<ShardResult>& result,
+                   const std::string& what) {
+  ASSERT_FALSE(result.ok());
+  EXPECT_TRUE(result.status().IsIOError()) << result.status().ToString();
+  EXPECT_NE(result.status().ToString().find("bad shard result: " + what),
+            std::string::npos)
+      << result.status().ToString();
+}
+
+// A missing key used to fall back to a per-field default (market.seed to
+// 0, where the struct default is 42).
+TEST(WireTest, RefusesMissingKey) {
+  const std::string spec = EncodeShardSpec(ShardSpec{});
+  ExpectRefused(DecodeShardSpec(ReplaceOnce(spec, "market.seed=42\n", "")),
+                "missing key 'market.seed'");
+  ExpectRefused(DecodeShardSpec(ReplaceOnce(spec, "shards=1\n", "")),
+                "missing key 'shards'");
+  const std::string result = EncodeShardResult(OkResult());
+  ExpectRefused(DecodeShardResult(ReplaceOnce(result, "questions=3\n", "")),
+                "missing key 'questions'");
+  ExpectRefused(DecodeShardResult("format=crowdsky-shard-result-v1\nok=0\n"),
+                "missing key 'error'");
+}
+
+// A repeated key used to keep its last value; even an identical repeat
+// is refused now.
+TEST(WireTest, RefusesDuplicateKey) {
+  const std::string spec = EncodeShardSpec(ShardSpec{});
+  ExpectRefused(DecodeShardSpec(spec + "workers_per_question=5\n"),
+                "duplicate key 'workers_per_question'");
+  const std::string result = EncodeShardResult(OkResult());
+  ExpectRefused(DecodeShardResult(result + "questions=3\n"),
+                "duplicate key 'questions'");
+}
+
+// An integer that does not fit its field used to be truncated:
+// 4294967301 ran as workers_per_question = 5.
+TEST(WireTest, RefusesValueOutsideItsField) {
+  const std::string spec = EncodeShardSpec(ShardSpec{});
+  ExpectRefused(
+      DecodeShardSpec(ReplaceOnce(spec, "\nworkers_per_question=5\n",
+                                  "\nworkers_per_question=4294967301\n")),
+      "bad value for 'workers_per_question'");
+  ExpectRefused(DecodeShardSpec(ReplaceOnce(spec, "shard=0\n",
+                                            "shard=-2147483649\n")),
+                "bad value for 'shard'");
+  ExpectRefused(DecodeShardSpec(ReplaceOnce(spec, "dynamic_voting=0\n",
+                                            "dynamic_voting=2\n")),
+                "bad value for 'dynamic_voting'");
+  const std::string result = EncodeShardResult(OkResult());
+  ExpectRefused(DecodeShardResult(ReplaceOnce(result, "skyline=0,4\n",
+                                              "skyline=0,4294967300\n")),
+                "bad value for 'skyline'");
+  // Doubles that underflow to zero or overflow.
+  for (const char* bad : {"cost_usd=1e-400\n", "cost_usd=1e999\n"}) {
+    ExpectRefused(
+        DecodeShardResult(ReplaceOnce(result, "cost_usd=0\n", bad)),
+        "bad value for 'cost_usd'");
+  }
+}
+
+// An enum value outside its enumerators used to be cast through:
+// oracle=7 ran a simulated crowd.
+TEST(WireTest, RefusesEnumOutsideItsEnumerators) {
+  const std::string spec = EncodeShardSpec(ShardSpec{});
+  for (const auto& [from, to] :
+       std::vector<std::pair<std::string, std::string>>{
+           {"oracle=1", "oracle=7"},
+           {"oracle=1", "oracle=-1"},
+           {"contradiction_policy=0", "contradiction_policy=2"},
+           {"multi_attr=0", "multi_attr=2"},
+           {"durability.sync=1", "durability.sync=3"}}) {
+    const std::string key = from.substr(0, from.find('='));
+    ExpectRefused(DecodeShardSpec(ReplaceOnce(spec, from + "\n", to + "\n")),
+                  "bad value for '" + key + "'");
+  }
+  ExpectRefused(DecodeShardSpec(ReplaceOnce(spec, "algorithm=ParallelSL\n",
+                                            "algorithm=Quantum\n")),
+                "bad value for 'algorithm'");
+}
+
+TEST(WireTest, RefusesUnknownKey) {
+  ExpectRefused(DecodeShardSpec(EncodeShardSpec(ShardSpec{}) + "omega=5\n"),
+                "unknown key 'omega'");
+  ExpectRefused(
+      DecodeShardResult(EncodeShardResult(OkResult()) + "cost=1\n"),
+      "unknown key 'cost'");
 }
 
 }  // namespace
