@@ -1,10 +1,11 @@
 // Observability overhead: what the obs layer costs when it is off,
 // counting, and tracing. Runs ParallelSL over a mid-sized synthetic
 // dataset at each ObsLevel and measures wall time plus the recorded
-// counter/trace volume. The disabled level must be free (the instrumented
-// sites reduce to one null check), counters should cost low single-digit
-// percent, and full tracing buys the Chrome timeline for a modest
-// wall-clock premium. Emits BENCH_observability.json.
+// counter/trace volume. The disabled level must be free (the span sites
+// reduce to one null check), counters cost one end-of-run pass that
+// publishes the run's ledgers into the registry (at most 2%), and full
+// tracing buys the Chrome timeline for a modest wall-clock premium. Emits
+// BENCH_observability.json.
 #include <chrono>
 #include <cstdint>
 #include <cstdio>

@@ -73,6 +73,7 @@ void TupleEvaluator::BuildProbePairs() {
 
 bool TupleEvaluator::AskPair(int u, int v, size_t freq, AskMode mode) {
   bool paid = false;
+  bool denied = false;
   last_ask_unresolved_ = false;
   const AskContext ctx{freq};
   for (int attr = 0; attr < knowledge_->num_attrs(); ++attr) {
@@ -83,6 +84,7 @@ bool TupleEvaluator::AskPair(int u, int v, size_t freq, AskMode mode) {
     if (!session_->IsCached(attr, u, v) &&
         !session_->IsUnresolved(attr, u, v) && !session_->CanAsk()) {
       budget_aborted_ = true;
+      denied = true;
       break;
     }
     const CrowdSession::AskResult res = session_->TryAsk(attr, u, v, ctx);
@@ -103,7 +105,8 @@ bool TupleEvaluator::AskPair(int u, int v, size_t freq, AskMode mode) {
     }
   }
   if (last_ask_unresolved_) ++unresolved_pair_asks_;
-  if (!paid) ++free_lookups_;
+  // A denied ask looked nothing up, so it is not a free lookup.
+  if (!paid && !denied) ++free_lookups_;
   return paid;
 }
 

@@ -114,10 +114,11 @@ struct CrowdSkyOptions {
   DriverCheckpointHook* checkpoint_hook = nullptr;
   const DriverResumeState* resume = nullptr;
   /// Observability sink (src/obs): drivers emit phase TraceSpans through
-  /// it and the session mirrors its ledgers into its counters. Null
-  /// (default) disables everything — the instrumented paths reduce to one
-  /// null check, so a run without an observer is bit-identical to the
-  /// pre-observability code. Not owned; must outlive the run.
+  /// it; metrics are published from the run's ledgers by the engine after
+  /// the driver returns. Null (default) disables everything — the span
+  /// sites reduce to one null check, so a run without an observer is
+  /// bit-identical to the pre-observability code. Not owned; must outlive
+  /// the run.
   obs::RunObserver* obs = nullptr;
 };
 

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <iterator>
-#include <map>
 #include <numeric>
 #include <sstream>
 #include <unordered_map>
@@ -946,106 +945,6 @@ void InvariantAuditor::AuditResumeExtension(const AlgoResult& partial,
                 "partial per-round history (" + std::to_string(pr.size()) +
                     " rounds) is not a prefix of the resumed history (" +
                     std::to_string(rr.size()) + " rounds)");
-}
-
-void InvariantAuditor::AuditObservability(const obs::MetricRegistry& metrics,
-                                          const CrowdSession& session,
-                                          const AlgoResult& result,
-                                          const AmtCostModel& model,
-                                          AuditReport* report) const {
-  // The expected value of every deterministic counter, recomputed from the
-  // ledgers the counters are supposed to mirror. The counters were
-  // incremented through an independent code path (obs hooks at the same
-  // sites), so equality here proves neither side silently drifted.
-  // Ordered maps: the "never published" walk below emits one finding per
-  // missing counter, and that order must be run-independent.
-  const SessionStats& s = session.stats();
-  std::map<std::string, int64_t> expected;
-  expected["crowdsky.pair_attempts"] = s.questions;
-  expected["crowdsky.cache_hits"] = s.cache_hits;
-  expected["crowdsky.rounds"] = s.rounds;
-  expected["crowdsky.unary_questions"] = s.unary_questions;
-  expected["crowdsky.retries"] = s.retries;
-  expected["crowdsky.degraded_quorum"] = s.degraded_quorum;
-  expected["crowdsky.failed_attempts"] = s.failed_attempts;
-  expected["crowdsky.unresolved_questions"] = s.unresolved_questions;
-  expected["crowdsky.backoff_rounds"] = s.backoff_rounds;
-  expected["crowdsky.worker_answers"] =
-      session.oracle_stats().worker_answers;
-  expected["crowdsky.free_lookups"] = result.free_lookups;
-  expected["crowdsky.hits_paid"] = model.Hits(session.questions_per_round());
-  int64_t round_sum = 0;
-  for (const int64_t q : session.questions_per_round()) round_sum += q;
-  expected["crowdsky.round_questions_count"] = s.rounds;
-  expected["crowdsky.round_questions_sum"] = round_sum;
-  expected["journal.replayed_pair_attempts"] =
-      session.replayed_pair_attempts();
-  expected["journal.replayed_unary_questions"] =
-      session.replayed_unary_questions();
-  persist::JournalWriter* journal = session.journal();
-  expected["journal.records_appended"] =
-      journal != nullptr ? journal->records_appended() : 0;
-  if (journal != nullptr) {
-    expected["journal.records_total"] = journal->records_total();
-    expected["journal.bytes_appended"] = journal->bytes_appended();
-    expected["journal.fsyncs"] = journal->fsyncs();
-  }
-  // Governor counters mirror the governor's own ledgers (which
-  // AuditTermination separately reconciles against the session).
-  const RunGovernor* governor = session.governor();
-  if (governor != nullptr) {
-    expected["governor.rounds_observed"] = governor->rounds_closed();
-    expected["governor.hits_funded"] = governor->hits_closed();
-    expected["governor.denied_questions"] = governor->denied_questions();
-    expected["governor.stops"] = governor->stopped() ? 1 : 0;
-  }
-
-  // Every published counter under the deterministic prefixes must be a
-  // known catalog name with the ledger's exact value; other prefixes
-  // ("pool.", trace sizes) are scheduling-dependent and not audited.
-  auto is_deterministic = [](const std::string& name) {
-    return name.rfind("crowdsky.", 0) == 0 ||
-           name.rfind("journal.", 0) == 0 ||
-           name.rfind("governor.", 0) == 0;
-  };
-  std::map<std::string, int64_t> present;
-  for (const auto& [name, value] : metrics.CounterSamples()) {
-    if (!is_deterministic(name)) continue;
-    present.emplace(name, value);
-    const auto it = expected.find(name);
-    if (!report->Check(it != expected.end(), "obs.counter_known",
-                       "counter '" + name +
-                           "' uses a deterministic prefix but is not in "
-                           "the audited catalog")) {
-      continue;
-    }
-    report->Check(value == it->second, "obs.counter_ledger",
-                  "counter '" + name + "' = " + std::to_string(value) +
-                      " but the ledger it mirrors says " +
-                      std::to_string(it->second));
-  }
-  for (const auto& [name, value] : expected) {
-    report->Check(present.contains(name), "obs.counter_present",
-                  "catalog counter '" + name +
-                      "' was never published to the registry");
-  }
-  // The scraped cost gauges recompute exactly (same doubles, same order).
-  for (const auto& [name, value] : metrics.GaugeSamples()) {
-    if (name == "crowdsky.cost_usd") {
-      report->Check(value == model.Cost(session.questions_per_round()),
-                    "obs.cost_gauge",
-                    "cost gauge disagrees with the AMT cost model");
-    }
-    if (governor != nullptr && name == "governor.cost_spent_usd") {
-      report->Check(value == governor->cost_spent_usd(), "obs.cost_gauge",
-                    "governor spend gauge disagrees with the governor's "
-                    "HIT ledger");
-    }
-    if (governor != nullptr && name == "governor.cost_cap_usd") {
-      report->Check(value == governor->cost_cap_usd(), "obs.cost_gauge",
-                    "governor cap gauge disagrees with the configured cap");
-    }
-  }
 }
 
 CompletionMonitor::CompletionMonitor(int n)

@@ -28,7 +28,6 @@
 #include "crowd/cost_model.h"
 #include "crowd/question.h"
 #include "crowd/session.h"
-#include "obs/metrics.h"
 #include "persist/journal.h"
 #include "prefgraph/preference_graph.h"
 #include "skyline/dominance.h"
@@ -208,22 +207,6 @@ class InvariantAuditor {
   void AuditResumeExtension(const AlgoResult& partial,
                             const AlgoResult& resumed,
                             AuditReport* report) const;
-
-  /// Observability/ledger equality ("obs.*"): every `crowdsky.*` and
-  /// `journal.*` counter in `metrics` is a *known* catalog name and equals
-  /// the independently-maintained ledger it mirrors — SessionStats for the
-  /// session counters, the journal writer / replay ledgers for the
-  /// journal counters, the oracle stats, AlgoResult's free-lookup count,
-  /// and the AMT HIT formula for `crowdsky.hits_paid`; histogram samples
-  /// of `crowdsky.round_questions` recompute from questions_per_round.
-  /// An unknown counter under those prefixes is itself a violation (a
-  /// "deterministic" metric nobody cross-checks is how drift starts);
-  /// `pool.*` and every other prefix are timing-dependent and ignored.
-  void AuditObservability(const obs::MetricRegistry& metrics,
-                          const CrowdSession& session,
-                          const AlgoResult& result,
-                          const AmtCostModel& model,
-                          AuditReport* report) const;
 
  private:
   AuditOptions options_;

@@ -180,34 +180,6 @@ void AuditServicePacking(const ServicePackingSnapshot& snapshot,
                 "service.ledger", "packing must never cost extra money");
   report->Check(snapshot.packed_hits <= snapshot.isolated_hits,
                 "service.ledger", "packed HIT total exceeds isolated total");
-
-  // service.obs: every service.* counter mirrors the ledger value it
-  // reports; an unchecked "deterministic" counter is how drift starts.
-  if (!snapshot.counters.empty()) {
-    const std::map<std::string, int64_t> expected = {
-        {"service.queries_submitted", snapshot.submitted},
-        {"service.queries_admitted", snapshot.admitted},
-        {"service.queries_rejected", snapshot.rejected},
-        {"service.queries_completed", snapshot.completed},
-        {"service.queries_failed", snapshot.failed},
-        {"service.epochs", snapshot.epochs},
-        {"service.slots", snapshot.slots},
-        {"service.packed_hits", snapshot.packed_hits},
-        {"service.isolated_hits", snapshot.isolated_hits},
-    };
-    for (const auto& [name, value] : snapshot.counters) {
-      if (name.rfind("service.", 0) != 0) continue;
-      const auto it = expected.find(name);
-      if (!report->Check(it != expected.end(), "service.obs",
-                         "unknown service counter '" + name + "'")) {
-        continue;
-      }
-      report->Check(value == it->second, "service.obs",
-                    "counter '" + name + "' = " + std::to_string(value) +
-                        " but the ledger says " +
-                        std::to_string(it->second));
-    }
-  }
 }
 
 }  // namespace crowdsky::audit

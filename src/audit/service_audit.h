@@ -23,10 +23,6 @@
 //   service.ledger           the service totals equal the span sums, the
 //                            dollar figures re-derive from the HIT
 //                            ledgers, and saved = isolated − packed ≥ 0
-//   service.obs              every service.* counter equals the ledger
-//                            value it mirrors; unknown service.* names
-//                            are violations (checked only when counters
-//                            were collected)
 #pragma once
 
 #include <cstdint>
@@ -78,17 +74,6 @@ struct ServicePackingSnapshot {
   double cost_packed_usd = 0.0;
   double cost_isolated_usd = 0.0;
   double cost_saved_usd = 0.0;
-
-  // Admission tallies, for the service.obs counter rule.
-  int64_t submitted = 0;
-  int64_t admitted = 0;
-  int64_t rejected = 0;
-  int64_t completed = 0;
-  int64_t failed = 0;
-
-  /// service.* counter samples (name, value). Empty = observability was
-  /// off and the service.obs rule is skipped.
-  std::vector<std::pair<std::string, int64_t>> counters;
 };
 
 /// Evaluates every service.* rule against the snapshot.

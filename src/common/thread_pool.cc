@@ -215,8 +215,9 @@ ThreadPool& ThreadPool::Global() {
 }
 
 int ThreadPool::DefaultThreads() {
-  // getenv with no setenv anywhere in the library is data-race-free; the
-  // override is process-wide config read at pool (re)creation only.
+  // The override is process-wide config read at pool (re)creation only.
+  // The library's only setenv (dist/shard_runner.cc) runs before a shard
+  // child starts any thread, so this getenv cannot race it.
   // NOLINTNEXTLINE(concurrency-mt-unsafe): see above
   if (const char* env = std::getenv("CROWDSKY_THREADS")) {
     // Strict parse: a typo'd override ("fast", "1.5", "0") silently

@@ -11,7 +11,6 @@
 #include "algo/parallel_dset.h"
 #include "algo/parallel_sl.h"
 #include "algo/unary.h"
-#include "audit/invariant_auditor.h"
 #include "common/random.h"
 #include "common/thread_pool.h"
 #include "core/options_schema.h"
@@ -333,7 +332,6 @@ Result<EngineResult> RunSkylineQuery(const Dataset& dataset,
     session.SetQuestionBudget(options.max_questions);
   }
   session.SetRetryPolicy(options.retry);
-  // Attach before any durability restore so replayed work is counted too.
   if (observer != nullptr) session.AttachObserver(observer.get());
   // The governor meters with the engine's effective pricing (ω folded in)
   // and reserves each question's full retry chain before funding it. It
@@ -506,58 +504,61 @@ Result<EngineResult> RunSkylineQuery(const Dataset& dataset,
   result.cost_usd = cost.Cost(result.algo.questions_per_round);
 
   if (observer != nullptr) {
-    // Scrape the quantities the session cannot mirror itself: oracle and
-    // cost-model aggregates, the journal writer's own ledgers, and the
-    // (nondeterministic) thread-pool deltas since the run started.
+    // Publish the whole metric catalog from the run's ledgers: the
+    // session's stats, per-round history and replay counts, the oracle and
+    // cost-model aggregates, the journal writer's and the governor's own
+    // ledgers, and the (nondeterministic) thread-pool deltas since the run
+    // started. Nothing was counted live, so this is the only write.
     obs::MetricRegistry& metrics = observer->metrics();
-    metrics.FindOrCreateCounter("crowdsky.worker_answers")
-        ->Add(session.oracle_stats().worker_answers);
-    metrics.FindOrCreateCounter("crowdsky.free_lookups")
-        ->Add(result.algo.free_lookups);
-    metrics.FindOrCreateCounter("crowdsky.hits_paid")
-        ->Add(cost.Hits(result.algo.questions_per_round));
-    metrics.FindOrCreateGauge("crowdsky.cost_usd")->Set(result.cost_usd);
+    const SessionStats& s = session.stats();
+    metrics.SetCounter("crowdsky.pair_attempts", s.questions);
+    metrics.SetCounter("crowdsky.cache_hits", s.cache_hits);
+    metrics.SetCounter("crowdsky.rounds", s.rounds);
+    metrics.SetCounter("crowdsky.unary_questions", s.unary_questions);
+    metrics.SetCounter("crowdsky.retries", s.retries);
+    metrics.SetCounter("crowdsky.degraded_quorum", s.degraded_quorum);
+    metrics.SetCounter("crowdsky.failed_attempts", s.failed_attempts);
+    metrics.SetCounter("crowdsky.unresolved_questions",
+                       s.unresolved_questions);
+    metrics.SetCounter("crowdsky.backoff_rounds", s.backoff_rounds);
+    metrics.SetCounter("crowdsky.worker_answers",
+                       session.oracle_stats().worker_answers);
+    metrics.SetCounter("crowdsky.free_lookups", result.algo.free_lookups);
+    metrics.SetCounter("crowdsky.hits_paid",
+                       cost.Hits(result.algo.questions_per_round));
+    metrics.SetHistogram("crowdsky.round_questions",
+                         session.questions_per_round());
+    metrics.SetGauge("crowdsky.cost_usd", result.cost_usd);
+    metrics.SetCounter("journal.records_appended",
+                       journal != nullptr ? journal->records_appended() : 0);
+    metrics.SetCounter("journal.replayed_pair_attempts",
+                       session.replayed_pair_attempts());
+    metrics.SetCounter("journal.replayed_unary_questions",
+                       session.replayed_unary_questions());
     if (journal != nullptr) {
-      metrics.FindOrCreateCounter("journal.records_total")
-          ->Add(journal->records_total());
-      metrics.FindOrCreateCounter("journal.bytes_appended")
-          ->Add(journal->bytes_appended());
-      metrics.FindOrCreateCounter("journal.fsyncs")->Add(journal->fsyncs());
+      metrics.SetCounter("journal.records_total", journal->records_total());
+      metrics.SetCounter("journal.bytes_appended", journal->bytes_appended());
+      metrics.SetCounter("journal.fsyncs", journal->fsyncs());
     }
     if (governor != nullptr) {
-      // Deterministic (audited) mirrors of the governor's own ledgers.
-      metrics.FindOrCreateCounter("governor.rounds_observed")
-          ->Add(governor->rounds_closed());
-      metrics.FindOrCreateCounter("governor.hits_funded")
-          ->Add(governor->hits_closed());
-      metrics.FindOrCreateCounter("governor.denied_questions")
-          ->Add(governor->denied_questions());
-      metrics.FindOrCreateCounter("governor.stops")
-          ->Add(governor->stopped() ? 1 : 0);
-      metrics.FindOrCreateGauge("governor.cost_spent_usd")
-          ->Set(governor->cost_spent_usd());
-      metrics.FindOrCreateGauge("governor.cost_cap_usd")
-          ->Set(governor->cost_cap_usd());
+      metrics.SetCounter("governor.rounds_observed", governor->rounds_closed());
+      metrics.SetCounter("governor.hits_funded", governor->hits_closed());
+      metrics.SetCounter("governor.denied_questions",
+                         governor->denied_questions());
+      metrics.SetCounter("governor.stops", governor->stopped() ? 1 : 0);
+      metrics.SetGauge("governor.cost_spent_usd", governor->cost_spent_usd());
+      metrics.SetGauge("governor.cost_cap_usd", governor->cost_cap_usd());
     }
     const ThreadPool::StatsSnapshot pool = ThreadPool::Global().stats();
-    metrics.FindOrCreateCounter("pool.tasks_submitted")
-        ->Add(pool.tasks_submitted - pool_baseline.tasks_submitted);
-    metrics.FindOrCreateCounter("pool.tasks_executed")
-        ->Add(pool.tasks_executed - pool_baseline.tasks_executed);
-    metrics.FindOrCreateCounter("pool.steals")
-        ->Add(pool.steals - pool_baseline.steals);
-    metrics.FindOrCreateCounter("pool.parallel_fors")
-        ->Add(pool.parallel_fors - pool_baseline.parallel_fors);
-    metrics.FindOrCreateGauge("pool.max_queue_depth")
-        ->Set(static_cast<double>(pool.max_queue_depth));
-
-    if (options.crowdsky.audit) {
-      audit::AuditReport obs_report;
-      const audit::InvariantAuditor auditor;
-      auditor.AuditObservability(metrics, session, result.algo, cost,
-                                 &obs_report);
-      CROWDSKY_CHECK_MSG(obs_report.ok(), obs_report.ToString().c_str());
-    }
+    metrics.SetCounter("pool.tasks_submitted",
+                       pool.tasks_submitted - pool_baseline.tasks_submitted);
+    metrics.SetCounter("pool.tasks_executed",
+                       pool.tasks_executed - pool_baseline.tasks_executed);
+    metrics.SetCounter("pool.steals", pool.steals - pool_baseline.steals);
+    metrics.SetCounter("pool.parallel_fors",
+                       pool.parallel_fors - pool_baseline.parallel_fors);
+    metrics.SetGauge("pool.max_queue_depth",
+                     static_cast<double>(pool.max_queue_depth));
 
     run_span.End();
     result.obs.enabled = true;

@@ -176,8 +176,8 @@ struct EngineOptions {
   /// Observability (src/obs). Off by default: with level kDisabled no
   /// observer exists, every instrumented path reduces to a null check, and
   /// the run is bit-identical to an un-instrumented engine. kCounters
-  /// collects the deterministic metric catalog (see DESIGN.md); kFull adds
-  /// wall-clock TraceSpans. Counter values never feed back into the
+  /// publishes the deterministic metric catalog from the run's ledgers
+  /// when the run ends (see DESIGN.md); kFull adds wall-clock TraceSpans. Counter values never feed back into the
   /// computation, so enabling observability cannot change any
   /// deterministic output either.
   struct ObsOptions {

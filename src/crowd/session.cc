@@ -68,33 +68,6 @@ PairOutcome OutcomeFromRecord(const persist::JournalRecord& record,
 
 }  // namespace
 
-void CrowdSession::AttachObserver(obs::RunObserver* observer) {
-  CROWDSKY_CHECK(observer != nullptr);
-  CROWDSKY_CHECK_MSG(obs_ == nullptr, "observer already attached");
-  CROWDSKY_CHECK_MSG(stats_.questions == 0 && stats_.cache_hits == 0 &&
-                         stats_.rounds == 0 && journal_position_ == 0,
-                     "attach the observer before any crowd activity (and "
-                     "before RestoreFromJournal) so the counters cover the "
-                     "whole run");
-  obs_ = observer;
-  hooks_.pair_attempts = observer->counter("crowdsky.pair_attempts");
-  hooks_.cache_hits = observer->counter("crowdsky.cache_hits");
-  hooks_.rounds = observer->counter("crowdsky.rounds");
-  hooks_.unary_questions = observer->counter("crowdsky.unary_questions");
-  hooks_.retries = observer->counter("crowdsky.retries");
-  hooks_.degraded_quorum = observer->counter("crowdsky.degraded_quorum");
-  hooks_.failed_attempts = observer->counter("crowdsky.failed_attempts");
-  hooks_.unresolved_questions =
-      observer->counter("crowdsky.unresolved_questions");
-  hooks_.backoff_rounds = observer->counter("crowdsky.backoff_rounds");
-  hooks_.journal_records = observer->counter("journal.records_appended");
-  hooks_.replayed_pair_attempts =
-      observer->counter("journal.replayed_pair_attempts");
-  hooks_.replayed_unary_questions =
-      observer->counter("journal.replayed_unary_questions");
-  hooks_.round_questions = observer->histogram("crowdsky.round_questions");
-}
-
 void CrowdSession::NoteRoundActivity() {
   ++open_round_questions_;
   if (open_round_questions_ == 1 && obs_ != nullptr &&
@@ -106,7 +79,6 @@ void CrowdSession::NoteRoundActivity() {
 void CrowdSession::ChargeAttempt(const PairQuestion& canonical) {
   paid_questions_.push_back(canonical);
   ++stats_.questions;
-  obs::Add(hooks_.pair_attempts, 1);
   NoteRoundActivity();
 }
 
@@ -121,7 +93,6 @@ void CrowdSession::AppendToJournal(persist::JournalRecord record) {
                      "answer journal append failed; aborting rather than "
                      "continuing undurably");
   ++journal_position_;
-  obs::Add(hooks_.journal_records, 1);
 }
 
 void CrowdSession::AppendPairRecord(
@@ -158,7 +129,6 @@ CrowdSession::AskResult CrowdSession::RunAskLoop(
       outcome = OutcomeFromRecord(*scripted, scripted_index);
       ++scripted_index;
       ++replayed_pair_attempts_;
-      obs::Add(hooks_.replayed_pair_attempts, 1);
     } else {
       obs::TraceSpan span = obs::SpanIf(obs_, "crowd.ask_pair");
       span.AddArg("attr", canonical.attr);
@@ -169,7 +139,6 @@ CrowdSession::AskResult CrowdSession::RunAskLoop(
     if (outcome.status != PairOutcome::Status::kFailed) {
       if (outcome.status == PairOutcome::Status::kDegradedQuorum) {
         ++stats_.degraded_quorum;
-        obs::Add(hooks_.degraded_quorum, 1);
       }
       cache_.emplace(canonical, outcome.answer);
       if (scripted != nullptr) {
@@ -187,16 +156,13 @@ CrowdSession::AskResult CrowdSession::RunAskLoop(
               /*paid=*/true};
     }
     ++stats_.failed_attempts;
-    obs::Add(hooks_.failed_attempts, 1);
     stats_.backoff_rounds =
         SaturatingAdd(stats_.backoff_rounds, outcome.extra_latency_rounds);
-    obs::Add(hooks_.backoff_rounds, outcome.extra_latency_rounds);
     if (attempt >= retry_.max_retries || !BudgetCanAsk()) {
       // Retry cap hit (or the budget cannot fund another attempt): give
       // up on this question for the rest of the session.
       unresolved_.insert(canonical);
       ++stats_.unresolved_questions;
-      obs::Add(hooks_.unresolved_questions, 1);
       if (scripted != nullptr) {
         CROWDSKY_CHECK_MSG(
             !scripted->resolved &&
@@ -212,10 +178,8 @@ CrowdSession::AskResult CrowdSession::RunAskLoop(
     // Requeue with capped exponential round backoff before the retry.
     const int64_t backoff = RetryBackoffRounds(retry_, attempt);
     stats_.backoff_rounds = SaturatingAdd(stats_.backoff_rounds, backoff);
-    obs::Add(hooks_.backoff_rounds, backoff);
     retry_events_.push_back({canonical, attempt + 1, ReasonFor(outcome)});
     ++stats_.retries;
-    obs::Add(hooks_.retries, 1);
   }
 }
 
@@ -226,7 +190,6 @@ CrowdSession::AskResult CrowdSession::TryAsk(int attr, int u, int v,
   const bool flipped = canonical.first != u;
   if (auto it = cache_.find(canonical); it != cache_.end()) {
     ++stats_.cache_hits;
-    obs::Add(hooks_.cache_hits, 1);
     return {AskStatus::kAnswered,
             flipped ? FlipAnswer(it->second) : it->second,
             /*paid=*/false};
@@ -287,7 +250,6 @@ double CrowdSession::AskUnary(int id, int attr, const AskContext& ctx) {
   // gracefully, not CHECK-fail.
   CROWDSKY_CHECK_MSG(BudgetCanAsk(), "question budget exhausted");
   ++stats_.unary_questions;
-  obs::Add(hooks_.unary_questions, 1);
   NoteRoundActivity();
   if (!credits_.empty()) {
     const persist::JournalRecord& credit = credits_.front();
@@ -300,7 +262,6 @@ double CrowdSession::AskUnary(int id, int attr, const AskContext& ctx) {
     credits_.pop_front();
     ++journal_position_;
     ++replayed_unary_;
-    obs::Add(hooks_.replayed_unary_questions, 1);
     return value;
   }
   obs::TraceSpan span = obs::SpanIf(obs_, "crowd.ask_unary");
@@ -325,8 +286,6 @@ void CrowdSession::EndRound() {
   ++stats_.rounds;
   const int64_t closed = open_round_questions_;
   open_round_questions_ = 0;
-  obs::Add(hooks_.rounds, 1);
-  obs::Observe(hooks_.round_questions, closed);
   if (governor_ != nullptr) {
     governor_->OnRoundClosed(closed, ResolvedTotal());
   }
@@ -397,8 +356,6 @@ void CrowdSession::RestoreFromJournal(
         ++stats_.unary_questions;
         ++open_round_questions_;
         ++replayed_unary_;
-        obs::Add(hooks_.unary_questions, 1);
-        obs::Add(hooks_.replayed_unary_questions, 1);
         break;
       case persist::JournalRecord::Kind::kRoundEnd:
         CROWDSKY_CHECK_MSG(open_round_questions_ == record.round_questions,
@@ -406,8 +363,6 @@ void CrowdSession::RestoreFromJournal(
                            "folded records");
         questions_per_round_.push_back(open_round_questions_);
         ++stats_.rounds;
-        obs::Add(hooks_.rounds, 1);
-        obs::Observe(hooks_.round_questions, open_round_questions_);
         if (governor_ != nullptr) {
           governor_->OnRoundClosed(open_round_questions_, ResolvedTotal());
         }
@@ -429,7 +384,6 @@ void CrowdSession::RestoreFromJournal(
   // Cache hits the skipped work produced are invisible to the journal
   // (they were free); the checkpoint carries their count.
   stats_.cache_hits = checkpoint_cache_hits;
-  obs::Add(hooks_.cache_hits, checkpoint_cache_hits);
   credits_ = std::move(credits);
 }
 

@@ -306,15 +306,16 @@ class CrowdSession {
 
   // --- observability ----------------------------------------------------
 
-  /// Attaches the run's observer (not owned; must outlive the session) and
-  /// resolves all counter handles once, so the ask hot path only touches
-  /// pre-resolved (possibly null) pointers. The counters deliberately
-  /// mirror SessionStats through an independent increment path — the
-  /// invariant auditor cross-checks the two ledgers, so a missed or doubled
-  /// increment on either side is a detectable bug, not silent drift.
-  /// Call before RestoreFromJournal so replayed work is counted too.
-  void AttachObserver(obs::RunObserver* observer);
-  obs::RunObserver* observer() const { return obs_; }
+  /// Attaches the run's observer (not owned; must outlive the session)
+  /// for trace spans only: the crowd.ask_pair / crowd.ask_unary spans and
+  /// the crowd.round events. The session counts nothing into it — the
+  /// engine publishes stats(), questions_per_round() and the replay counts
+  /// as metrics when it scrapes the finished run.
+  void AttachObserver(obs::RunObserver* observer) {
+    CROWDSKY_CHECK(observer != nullptr);
+    CROWDSKY_CHECK_MSG(obs_ == nullptr, "observer already attached");
+    obs_ = observer;
+  }
 
   // --- governance --------------------------------------------------------
 
@@ -416,24 +417,6 @@ class CrowdSession {
                         std::vector<persist::AttemptOutcome> attempts,
                         bool resolved, Answer answer);
 
-  /// Pre-resolved metric handles (all null when no observer is attached or
-  /// its level is kDisabled; obs::Add / obs::Observe are null-safe).
-  struct ObsHooks {
-    obs::Counter* pair_attempts = nullptr;
-    obs::Counter* cache_hits = nullptr;
-    obs::Counter* rounds = nullptr;
-    obs::Counter* unary_questions = nullptr;
-    obs::Counter* retries = nullptr;
-    obs::Counter* degraded_quorum = nullptr;
-    obs::Counter* failed_attempts = nullptr;
-    obs::Counter* unresolved_questions = nullptr;
-    obs::Counter* backoff_rounds = nullptr;
-    obs::Counter* journal_records = nullptr;
-    obs::Counter* replayed_pair_attempts = nullptr;
-    obs::Counter* replayed_unary_questions = nullptr;
-    obs::Histogram* round_questions = nullptr;
-  };
-
   /// Notes that a paid question opened the current round (trace only).
   void NoteRoundActivity();
 
@@ -454,7 +437,6 @@ class CrowdSession {
   int64_t replayed_pair_attempts_ = 0;
   int64_t replayed_unary_ = 0;
   obs::RunObserver* obs_ = nullptr;
-  ObsHooks hooks_;
   int64_t seeded_answers_ = 0;
   std::function<void(int64_t)> round_callback_;
   int64_t round_start_ns_ = -1;  ///< trace timestamp of the open round's

@@ -102,7 +102,10 @@ int RunShardChildMode(int argc, char** argv) {
                  " gen=" + std::to_string(spec.generation));
 
   // Journal kill hooks are per-incarnation: arm or disarm them explicitly
-  // so a restarted shard never inherits its predecessor's crash plan.
+  // so a restarted shard never inherits its predecessor's crash plan. The
+  // setenv is safe: this is the child's main thread, RunShardChildMode runs
+  // first thing in main(), and no other thread exists yet (the thread pool
+  // starts lazily, inside the engine run below).
   if (spec.kill_at_record > 0) {
     setenv("CROWDSKY_JOURNAL_KILL_AFTER",
            std::to_string(spec.kill_at_record).c_str(), 1);

@@ -34,63 +34,35 @@ std::string FormatDouble(double v) {
 
 }  // namespace
 
-Counter* MetricRegistry::FindOrCreateCounter(std::string_view name) {
-  MutexLock lock(mutex_);
+void MetricRegistry::SetCounter(std::string_view name, int64_t value) {
   CROWDSKY_CHECK_MSG(!gauges_.contains(name) && !histograms_.contains(name),
                      "metric name already registered with another kind");
-  auto it = counters_.find(name);
-  if (it == counters_.end()) {
-    it = counters_.emplace(std::string(name), std::make_unique<Counter>())
-             .first;
-  }
-  return it->second.get();
+  counters_.insert_or_assign(std::string(name), value);
 }
 
-Gauge* MetricRegistry::FindOrCreateGauge(std::string_view name) {
-  MutexLock lock(mutex_);
+void MetricRegistry::SetGauge(std::string_view name, double value) {
   CROWDSKY_CHECK_MSG(!counters_.contains(name) && !histograms_.contains(name),
                      "metric name already registered with another kind");
-  auto it = gauges_.find(name);
-  if (it == gauges_.end()) {
-    it = gauges_.emplace(std::string(name), std::make_unique<Gauge>()).first;
-  }
-  return it->second.get();
+  gauges_.insert_or_assign(std::string(name), value);
 }
 
-Histogram* MetricRegistry::FindOrCreateHistogram(std::string_view name) {
-  MutexLock lock(mutex_);
+void MetricRegistry::SetHistogram(std::string_view name,
+                                  const std::vector<int64_t>& observations) {
   CROWDSKY_CHECK_MSG(!counters_.contains(name) && !gauges_.contains(name),
                      "metric name already registered with another kind");
-  auto it = histograms_.find(name);
-  if (it == histograms_.end()) {
-    it = histograms_.emplace(std::string(name), std::make_unique<Histogram>())
-             .first;
-  }
-  return it->second.get();
-}
-
-int64_t MetricRegistry::CounterValue(std::string_view name) const {
-  MutexLock lock(mutex_);
-  const auto it = counters_.find(name);
-  return it == counters_.end() ? 0 : it->second->value();
-}
-
-bool MetricRegistry::HasCounter(std::string_view name) const {
-  MutexLock lock(mutex_);
-  return counters_.contains(name);
+  Histogram histogram;
+  for (const int64_t value : observations) histogram.Observe(value);
+  histograms_.insert_or_assign(std::string(name), histogram);
 }
 
 std::vector<std::pair<std::string, int64_t>> MetricRegistry::CounterSamples()
     const {
-  MutexLock lock(mutex_);
-  std::vector<std::pair<std::string, int64_t>> out;
-  out.reserve(counters_.size() + 2 * histograms_.size());
-  for (const auto& [name, counter] : counters_) {
-    out.emplace_back(name, counter->value());
-  }
+  std::vector<std::pair<std::string, int64_t>> out(counters_.begin(),
+                                                    counters_.end());
+  out.reserve(out.size() + 2 * histograms_.size());
   for (const auto& [name, histogram] : histograms_) {
-    out.emplace_back(name + "_count", histogram->count());
-    out.emplace_back(name + "_sum", histogram->sum());
+    out.emplace_back(name + "_count", histogram.count());
+    out.emplace_back(name + "_sum", histogram.sum());
   }
   std::sort(out.begin(), out.end());
   return out;
@@ -98,34 +70,28 @@ std::vector<std::pair<std::string, int64_t>> MetricRegistry::CounterSamples()
 
 std::vector<std::pair<std::string, double>> MetricRegistry::GaugeSamples()
     const {
-  MutexLock lock(mutex_);
-  std::vector<std::pair<std::string, double>> out;
-  out.reserve(gauges_.size());
-  for (const auto& [name, gauge] : gauges_) {
-    out.emplace_back(name, gauge->value());
-  }
-  return out;  // map iteration is already name-sorted
+  // Map iteration is already name-sorted.
+  return {gauges_.begin(), gauges_.end()};
 }
 
 std::string MetricRegistry::PrometheusText() const {
-  MutexLock lock(mutex_);
   std::string out;
-  for (const auto& [name, counter] : counters_) {
+  for (const auto& [name, value] : counters_) {
     const std::string prom = Sanitize(name);
     out += "# TYPE " + prom + " counter\n";
-    out += prom + " " + std::to_string(counter->value()) + "\n";
+    out += prom + " " + std::to_string(value) + "\n";
   }
-  for (const auto& [name, gauge] : gauges_) {
+  for (const auto& [name, value] : gauges_) {
     const std::string prom = Sanitize(name);
     out += "# TYPE " + prom + " gauge\n";
-    out += prom + " " + FormatDouble(gauge->value()) + "\n";
+    out += prom + " " + FormatDouble(value) + "\n";
   }
   for (const auto& [name, histogram] : histograms_) {
     const std::string prom = Sanitize(name);
     out += "# TYPE " + prom + " histogram\n";
     int64_t cumulative = 0;
     for (int i = 0; i < Histogram::kBuckets; ++i) {
-      cumulative += histogram->bucket(i);
+      cumulative += histogram.bucket(i);
       const std::string le =
           i == Histogram::kBuckets - 1
               ? "+Inf"
@@ -133,8 +99,8 @@ std::string MetricRegistry::PrometheusText() const {
       out += prom + "_bucket{le=\"" + le + "\"} " +
              std::to_string(cumulative) + "\n";
     }
-    out += prom + "_sum " + std::to_string(histogram->sum()) + "\n";
-    out += prom + "_count " + std::to_string(histogram->count()) + "\n";
+    out += prom + "_sum " + std::to_string(histogram.sum()) + "\n";
+    out += prom + "_count " + std::to_string(histogram.count()) + "\n";
   }
   return out;
 }

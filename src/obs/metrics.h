@@ -1,64 +1,35 @@
-// Metric primitives of the observability layer (src/obs): a thread-safe
-// registry of named counters, gauges and histograms.
+// Metric primitives of the observability layer (src/obs): a registry of
+// named counters, gauges and histograms.
 //
 // Design constraints (see DESIGN.md "Observability"):
-//  * the hot path is one relaxed atomic add on a pre-resolved pointer —
-//    callers resolve Counter*/Histogram* handles once (at attach time) and
-//    never touch the registry map again,
-//  * deterministic quantities only: counters mirror the session/journal
-//    ledgers (questions, rounds, retries, ...) and are bit-identical
-//    across runs of the same configuration; wall-clock timing lives in the
-//    trace collector (obs/trace.h), never in a counter,
+//  * every metric is a view of a ledger the run keeps anyway (the
+//    session's stats and per-round history, the journal writer, the
+//    governor, the service packer). Nothing is counted live: the thread
+//    that owns the run publishes each value once, at scrape time, so a
+//    registry has one writer and needs no synchronization,
+//  * deterministic quantities only: the published ledgers (questions,
+//    rounds, retries, ...) are bit-identical across runs of the same
+//    configuration; wall-clock timing lives in the trace collector
+//    (obs/trace.h), never in a counter,
 //  * exports are stable: samples are emitted sorted by name, so two runs
 //    of the same configuration produce byte-identical counter dumps.
-//
-// The registry hands out stable pointers (node-based map + unique_ptr), so
-// handles stay valid for the registry's lifetime.
 #pragma once
 
-#include <atomic>
+#include <array>
 #include <cstdint>
 #include <map>
-#include <memory>
 #include <string>
 #include <string_view>
 #include <utility>
 #include <vector>
 
 #include "common/macros.h"
-#include "common/mutex.h"
 #include "common/result.h"
-#include "common/thread_annotations.h"
 
 namespace crowdsky::obs {
 
-/// Monotonically increasing integer metric. All operations are relaxed
-/// atomics: counters never order other memory.
-class Counter {
- public:
-  void Add(int64_t delta) {
-    value_.fetch_add(delta, std::memory_order_relaxed);
-  }
-  void Increment() { Add(1); }
-  int64_t value() const { return value_.load(std::memory_order_relaxed); }
-
- private:
-  std::atomic<int64_t> value_{0};
-};
-
-/// Last-write-wins floating-point metric (scraped quantities: cost in
-/// dollars, pool high-water marks, ...).
-class Gauge {
- public:
-  void Set(double value) { value_.store(value, std::memory_order_relaxed); }
-  double value() const { return value_.load(std::memory_order_relaxed); }
-
- private:
-  std::atomic<double> value_{0.0};
-};
-
-/// Power-of-two bucketed histogram of non-negative integers (round sizes,
-/// span durations in microseconds). Bucket i counts observations with
+/// Power-of-two bucketed histogram of non-negative integers (round
+/// sizes). Bucket i counts observations with
 /// value <= BucketBound(i); the last bucket is unbounded (+Inf).
 class Histogram {
  public:
@@ -67,16 +38,14 @@ class Histogram {
 
   void Observe(int64_t value) {
     if (value < 0) value = 0;
-    buckets_[BucketIndex(value)].fetch_add(1, std::memory_order_relaxed);
-    count_.fetch_add(1, std::memory_order_relaxed);
-    sum_.fetch_add(value, std::memory_order_relaxed);
+    ++buckets_[static_cast<size_t>(BucketIndex(value))];
+    ++count_;
+    sum_ += value;
   }
-  int64_t count() const { return count_.load(std::memory_order_relaxed); }
-  int64_t sum() const { return sum_.load(std::memory_order_relaxed); }
+  int64_t count() const { return count_; }
+  int64_t sum() const { return sum_; }
   /// Observations landing in bucket `i` (not cumulative).
-  int64_t bucket(int i) const {
-    return buckets_[i].load(std::memory_order_relaxed);
-  }
+  int64_t bucket(int i) const { return buckets_[static_cast<size_t>(i)]; }
   /// Inclusive upper bound of bucket `i`; the last bucket has no bound.
   static int64_t BucketBound(int i) { return int64_t{1} << i; }
   static int BucketIndex(int64_t value) {
@@ -87,30 +56,30 @@ class Histogram {
   }
 
  private:
-  std::atomic<int64_t> buckets_[kBuckets] = {};
-  std::atomic<int64_t> count_{0};
-  std::atomic<int64_t> sum_{0};
+  std::array<int64_t, kBuckets> buckets_{};
+  int64_t count_ = 0;
+  int64_t sum_ = 0;
 };
 
-/// \brief Thread-safe find-or-create registry of named metrics.
+/// \brief Registry of named metrics, written by setters at scrape time.
 ///
 /// Metric names are dotted lowercase ("crowdsky.rounds", "pool.steals").
-/// The registry owns its metrics; returned pointers stay valid for the
-/// registry's lifetime. A name may carry exactly one metric kind —
-/// re-registering it as a different kind is a programming error.
+/// A name may carry exactly one metric kind — registering it as a
+/// different kind is a programming error. Not thread-safe: one thread
+/// publishes a run's ledgers into its registry, then reads the samples.
 class MetricRegistry {
  public:
   MetricRegistry() = default;
   CROWDSKY_DISALLOW_COPY(MetricRegistry);
 
-  Counter* FindOrCreateCounter(std::string_view name);
-  Gauge* FindOrCreateGauge(std::string_view name);
-  Histogram* FindOrCreateHistogram(std::string_view name);
-
-  /// The counter's current value, or 0 when no such counter exists.
-  int64_t CounterValue(std::string_view name) const;
-  /// True iff a counter with this exact name exists.
-  bool HasCounter(std::string_view name) const;
+  /// Creates or overwrites the counter `name`.
+  void SetCounter(std::string_view name, int64_t value);
+  /// Creates or overwrites the gauge `name`.
+  void SetGauge(std::string_view name, double value);
+  /// Creates or overwrites the histogram `name` with one observation per
+  /// element of `observations`.
+  void SetHistogram(std::string_view name,
+                    const std::vector<int64_t>& observations);
 
   /// All counters as (name, value), sorted by name. Histograms are
   /// flattened into "<name>_count" / "<name>_sum" entries so callers see
@@ -124,30 +93,14 @@ class MetricRegistry {
   std::string PrometheusText() const;
 
  private:
-  /// Guards the maps, not the metric values — handed-out Counter*/Gauge*/
-  /// Histogram* pointers are updated lock-free through their own atomics.
-  mutable Mutex mutex_;
-  std::map<std::string, std::unique_ptr<Counter>, std::less<>> counters_
-      CROWDSKY_GUARDED_BY(mutex_);
-  std::map<std::string, std::unique_ptr<Gauge>, std::less<>> gauges_
-      CROWDSKY_GUARDED_BY(mutex_);
-  std::map<std::string, std::unique_ptr<Histogram>, std::less<>> histograms_
-      CROWDSKY_GUARDED_BY(mutex_);
+  std::map<std::string, int64_t, std::less<>> counters_;
+  std::map<std::string, double, std::less<>> gauges_;
+  std::map<std::string, Histogram, std::less<>> histograms_;
 };
 
 /// Writes PrometheusText() to `path` (atomic enough for scrape files:
 /// plain truncate + write).
 Status WritePrometheusText(const std::string& path,
                            const MetricRegistry& registry);
-
-/// No-op-on-null increment helpers: instrumented code holds Counter*
-/// handles that are null when observability is disabled, so the disabled
-/// hot path is a single predictable branch.
-inline void Add(Counter* counter, int64_t delta) {
-  if (counter != nullptr) counter->Add(delta);
-}
-inline void Observe(Histogram* histogram, int64_t value) {
-  if (histogram != nullptr) histogram->Observe(value);
-}
 
 }  // namespace crowdsky::obs

@@ -2,14 +2,15 @@
 // and the drivers. It bundles the deterministic metric registry with the
 // (non-deterministic) trace collector under one observability level:
 //
-//   kDisabled  no registry access, no spans — instrumented code sees only
-//              null Counter* handles and default (no-op) TraceSpans, so
-//              the cost is one predictable branch per site,
-//   kCounters  counters/gauges/histograms collected, tracing off,
+//   kDisabled  the engine and the service create no observer, so
+//              instrumented code holds a null RunObserver* and gets
+//              default (no-op) TraceSpans,
+//   kCounters  the run's ledgers are published into the registry at
+//              scrape time, tracing off,
 //   kFull      counters plus TraceSpans (Chrome-trace exportable).
 //
-// Instrumented components resolve their Counter* handles once (at attach
-// time) via counter(); the hot path never touches the registry map.
+// Only spans are recorded while the run is in flight; the registry is
+// written once, by the thread that owns the run, when it scrapes.
 #pragma once
 
 #include "common/macros.h"
@@ -42,19 +43,6 @@ class RunObserver {
   const MetricRegistry& metrics() const { return metrics_; }
   TraceCollector& trace() { return trace_; }
   const TraceCollector& trace() const { return trace_; }
-
-  /// Handle resolution honoring the level: null when counters are off, so
-  /// instrumentation sites can use obs::Add / obs::Observe unconditionally.
-  Counter* counter(std::string_view name) {
-    return counters_enabled() ? metrics_.FindOrCreateCounter(name) : nullptr;
-  }
-  Histogram* histogram(std::string_view name) {
-    return counters_enabled() ? metrics_.FindOrCreateHistogram(name)
-                              : nullptr;
-  }
-  Gauge* gauge(std::string_view name) {
-    return counters_enabled() ? metrics_.FindOrCreateGauge(name) : nullptr;
-  }
 
   /// A live span when tracing is on, a no-op span otherwise.
   TraceSpan Span(const char* name) {

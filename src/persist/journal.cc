@@ -159,15 +159,26 @@ Status WriteAll(int fd, const char* data, size_t size) {
   return Status::OK();
 }
 
-long EnvLong(const char* name) {
-  // Kill-point test configuration, read once per writer at construction;
-  // getenv with no setenv anywhere in the library is data-race-free.
+/// A kill-point hook setting. Unset or empty means off (0); anything else
+/// must be a whole number >= 0 that fits in a long, or the run aborts. A
+/// typo that silently disarmed the hook ("5x" read as 0) or never fired it
+/// (an overflow read as LONG_MAX) would let a crash test pass without
+/// crashing anything.
+long KillHookEnv(const char* name) {
+  // Read once per writer at construction. The library's only setenv, in
+  // dist/shard_runner.cc, runs on a shard child's main thread before that
+  // process starts any other thread, so this getenv cannot race it.
   // NOLINTNEXTLINE(concurrency-mt-unsafe): see above
   const char* env = std::getenv(name);
   if (env == nullptr || *env == '\0') return 0;
   char* end = nullptr;
+  errno = 0;
   const long v = std::strtol(env, &end, 10);
-  return (end != nullptr && *end == '\0' && v > 0) ? v : 0;
+  const std::string message = std::string(name) +
+                              " must be an integer >= 0, got '" + env + "'";
+  CROWDSKY_CHECK_MSG(end != env && *end == '\0' && errno == 0 && v >= 0,
+                     message.c_str());
+  return v;
 }
 
 }  // namespace
@@ -200,8 +211,8 @@ JournalWriter::JournalWriter(std::string path, int fd, SyncMode sync,
       fd_(fd),
       sync_(sync),
       existing_(existing),
-      kill_after_(EnvLong("CROWDSKY_JOURNAL_KILL_AFTER")),
-      kill_tear_(EnvLong("CROWDSKY_JOURNAL_KILL_TEAR")) {}
+      kill_after_(KillHookEnv("CROWDSKY_JOURNAL_KILL_AFTER")),
+      kill_tear_(KillHookEnv("CROWDSKY_JOURNAL_KILL_TEAR")) {}
 
 JournalWriter::~JournalWriter() {
   (void)FlushBuffer();

@@ -116,7 +116,9 @@ std::string EncodeRecord(const JournalRecord& record);
 /// set to N > 0, the process _Exit(137)s immediately after the N-th record
 /// appended by this process becomes durable — the kill-point harness's
 /// seeded crash injection. CROWDSKY_JOURNAL_KILL_TEAR additionally appends
-/// that many garbage bytes first, simulating a torn in-flight record.
+/// that many garbage bytes first, simulating a torn in-flight record. Both
+/// are parsed strictly when the writer is built: unset or empty is off, and
+/// any value that is not a whole number >= 0 fitting a long aborts.
 class JournalWriter {
  public:
   /// Creates (truncating) a fresh journal and writes its header.

@@ -325,23 +325,22 @@ void Scheduler::FillLedger(ServiceReport* report) {
   }
 
   if (observer_ != nullptr) {
-    obs::Add(observer_->counter("service.queries_submitted"),
-             static_cast<int64_t>(report->queries.size()));
-    obs::Add(observer_->counter("service.queries_admitted"), admitted_total_);
-    obs::Add(observer_->counter("service.queries_rejected"), rejected_);
-    obs::Add(observer_->counter("service.queries_completed"), completed_);
-    obs::Add(observer_->counter("service.queries_failed"), failed_);
-    obs::Add(observer_->counter("service.epochs"), ledger.epochs);
-    obs::Add(observer_->counter("service.slots"), ledger.slots);
-    obs::Add(observer_->counter("service.packed_hits"), ledger.packed_hits);
-    obs::Add(observer_->counter("service.isolated_hits"),
-             ledger.isolated_hits);
-    observer_->gauge("service.cost_packed_usd")->Set(ledger.cost_packed_usd);
-    observer_->gauge("service.cost_isolated_usd")
-        ->Set(ledger.cost_isolated_usd);
-    observer_->gauge("service.cost_saved_usd")->Set(ledger.cost_saved_usd);
-    report->counters = observer_->metrics().CounterSamples();
-    report->gauges = observer_->metrics().GaugeSamples();
+    obs::MetricRegistry& metrics = observer_->metrics();
+    metrics.SetCounter("service.queries_submitted",
+                       static_cast<int64_t>(report->queries.size()));
+    metrics.SetCounter("service.queries_admitted", admitted_total_);
+    metrics.SetCounter("service.queries_rejected", rejected_);
+    metrics.SetCounter("service.queries_completed", completed_);
+    metrics.SetCounter("service.queries_failed", failed_);
+    metrics.SetCounter("service.epochs", ledger.epochs);
+    metrics.SetCounter("service.slots", ledger.slots);
+    metrics.SetCounter("service.packed_hits", ledger.packed_hits);
+    metrics.SetCounter("service.isolated_hits", ledger.isolated_hits);
+    metrics.SetGauge("service.cost_packed_usd", ledger.cost_packed_usd);
+    metrics.SetGauge("service.cost_isolated_usd", ledger.cost_isolated_usd);
+    metrics.SetGauge("service.cost_saved_usd", ledger.cost_saved_usd);
+    report->counters = metrics.CounterSamples();
+    report->gauges = metrics.GaugeSamples();
   }
 }
 
@@ -383,12 +382,6 @@ Status Scheduler::AuditRun(const ServiceReport& report) {
   snapshot.cost_packed_usd = report.packing.cost_packed_usd;
   snapshot.cost_isolated_usd = report.packing.cost_isolated_usd;
   snapshot.cost_saved_usd = report.packing.cost_saved_usd;
-  snapshot.submitted = static_cast<int64_t>(report.queries.size());
-  snapshot.admitted = admitted_total_;
-  snapshot.rejected = report.rejected;
-  snapshot.completed = report.completed;
-  snapshot.failed = report.failed;
-  snapshot.counters = report.counters;
 
   audit::AuditReport audit_report;
   audit::AuditServicePacking(snapshot, &audit_report);

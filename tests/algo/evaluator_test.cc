@@ -147,6 +147,18 @@ TEST_F(EvaluatorTest, FreeLookupCountsTransitivityHits) {
   EXPECT_EQ(session_.stats().questions, 0);
 }
 
+TEST_F(EvaluatorTest, DeniedAskIsNotAFreeLookup) {
+  session_.SetQuestionBudget(1);
+  TupleEvaluator ev = MakeEvaluator('h');  // needs 2 questions normally
+  EXPECT_TRUE(ev.Step());  // spends the whole budget
+  const int64_t before = ev.free_lookups();
+  // The next ask is refused: nothing was looked up, so nothing is counted.
+  EXPECT_FALSE(ev.Step());
+  EXPECT_TRUE(ev.done());
+  EXPECT_FALSE(ev.complete());
+  EXPECT_EQ(ev.free_lookups(), before);
+}
+
 // --- settling once funding has closed -----------------------------------
 
 /// A governor whose cancel token is already set: its first funding check
@@ -201,7 +213,7 @@ TEST_F(EvaluatorTest, ClosedFundingSettlesLikeTheProbeWalk) {
   EXPECT_EQ(session_.stats().questions, 0);
   EXPECT_EQ(session_.stats().rounds, 0);
   EXPECT_EQ(ev.free_lookups(), walk.free_lookups());
-  EXPECT_EQ(ev.free_lookups(), 1);
+  EXPECT_EQ(ev.free_lookups(), 0);
   EXPECT_EQ(ev.is_skyline(), walk.is_skyline());
   EXPECT_TRUE(ev.is_skyline());
   EXPECT_FALSE(ev.complete());
@@ -213,7 +225,7 @@ TEST_F(EvaluatorTest, SpentQuestionBudgetSettlesWithoutADenial) {
   TupleEvaluator ev = MakeEvaluator('h');
   EXPECT_FALSE(ev.Step());
   ASSERT_TRUE(ev.done());
-  EXPECT_EQ(ev.free_lookups(), 1);
+  EXPECT_EQ(ev.free_lookups(), 0);
   EXPECT_TRUE(ev.is_skyline());
   EXPECT_FALSE(ev.complete());
 }
@@ -254,7 +266,7 @@ TEST_F(EvaluatorTest, ClosedFundingWithP2OffWalksKnownPairs) {
   TupleEvaluator ev = MakeEvaluator('c', options);
   EXPECT_FALSE(ev.Step());
   ASSERT_TRUE(ev.done());
-  EXPECT_EQ(ev.free_lookups(), 3);
+  EXPECT_EQ(ev.free_lookups(), 2);
   EXPECT_EQ(governor.get()->denied_questions(), 2);
   EXPECT_TRUE(ev.is_skyline());
 }
@@ -270,7 +282,7 @@ TEST_F(EvaluatorTest, ClosedFundingWithSeededAnswersWalksCacheHits) {
   TupleEvaluator ev = MakeEvaluator('c');  // DS(c) = {a, b, e}
   EXPECT_FALSE(ev.Step());
   ASSERT_TRUE(ev.done());
-  EXPECT_EQ(ev.free_lookups(), 3);
+  EXPECT_EQ(ev.free_lookups(), 2);
   EXPECT_EQ(session_.stats().cache_hits, 2);
   EXPECT_TRUE(knowledge_.WeaklyPrefers(ToyId('e'), ToyId('b')));
 }
@@ -317,7 +329,7 @@ TEST_F(EvaluatorTest, ClosedFundingWithUnresolvedPairWalksPastIt) {
   EXPECT_FALSE(ev.Step());
   ASSERT_TRUE(ev.done());
   EXPECT_EQ(ev.unresolved_pair_asks(), 1);
-  EXPECT_EQ(ev.free_lookups(), 2);
+  EXPECT_EQ(ev.free_lookups(), 1);
   EXPECT_EQ(governor.get()->denied_questions(), 2);
   EXPECT_EQ(session.stats().questions, 1);  // only the failed attempt
 }
@@ -351,7 +363,7 @@ TEST_F(EvaluatorTest, ClosedFundingWithPendingCreditsReplaysThemFirst) {
   EXPECT_FALSE(ev.Step());
   ASSERT_TRUE(ev.done());
   EXPECT_TRUE(knowledge_.WeaklyPrefers(ToyId('e'), ToyId('b')));
-  EXPECT_EQ(ev.free_lookups(), 1);
+  EXPECT_EQ(ev.free_lookups(), 0);
   EXPECT_EQ(governor.get()->denied_questions(), 2);
   EXPECT_TRUE(ev.is_skyline());
 }
@@ -388,7 +400,7 @@ TEST(EvaluatorTwoCrowdAttrsTest, ClosedFundingWalksKnownIncomparablePair) {
   TupleEvaluator ev(2, structure, &knowledge, &session, &completion, {});
   EXPECT_FALSE(ev.Step());
   ASSERT_TRUE(ev.done());
-  EXPECT_EQ(ev.free_lookups(), 2);
+  EXPECT_EQ(ev.free_lookups(), 1);
   EXPECT_EQ(governor.get()->denied_questions(), 2);
   EXPECT_TRUE(ev.is_skyline());
 }

@@ -690,102 +690,6 @@ TEST_F(JournalAuditTest, ReportsOpenRoundTailMismatch) {
       << report.ToString();
 }
 
-// ---------------------------------------------------------------------------
-// Observability counters vs. the ledgers they mirror.
-
-class ObsAuditTest : public ::testing::Test {
- protected:
-  ObsAuditTest() : observer_(obs::ObsLevel::kCounters) {
-    GeneratorOptions gen;
-    gen.cardinality = 50;
-    gen.num_known = 3;
-    gen.num_crowd = 1;
-    gen.seed = 29;
-    dataset_ = GenerateDataset(gen).ValueOrDie();
-  }
-
-  /// Runs the serial driver with counters attached and performs the same
-  /// end-of-run scrape the engine does, leaving a registry that must pass
-  /// AuditObservability untouched.
-  void RunInstrumented() {
-    oracle_ = std::make_unique<PerfectOracle>(dataset_);
-    session_ = std::make_unique<CrowdSession>(oracle_.get());
-    session_->AttachObserver(&observer_);
-    CrowdSkyOptions options;
-    options.obs = &observer_;
-    result_ = RunCrowdSky(dataset_, session_.get(), options);
-
-    obs::MetricRegistry& metrics = observer_.metrics();
-    metrics.FindOrCreateCounter("crowdsky.worker_answers")
-        ->Add(session_->oracle_stats().worker_answers);
-    metrics.FindOrCreateCounter("crowdsky.free_lookups")
-        ->Add(result_.free_lookups);
-    metrics.FindOrCreateCounter("crowdsky.hits_paid")
-        ->Add(model_.Hits(session_->questions_per_round()));
-    metrics.FindOrCreateGauge("crowdsky.cost_usd")
-        ->Set(model_.Cost(session_->questions_per_round()));
-  }
-
-  AuditReport Audit() {
-    AuditReport report;
-    InvariantAuditor().AuditObservability(observer_.metrics(), *session_,
-                                          result_, model_, &report);
-    return report;
-  }
-
-  Dataset dataset_ = Dataset::Make(Schema::MakeSynthetic(1, 1),
-                                   {{0.0, 0.0}})
-                         .ValueOrDie();
-  obs::RunObserver observer_;
-  std::unique_ptr<PerfectOracle> oracle_;
-  std::unique_ptr<CrowdSession> session_;
-  AlgoResult result_;
-  AmtCostModel model_;
-};
-
-TEST_F(ObsAuditTest, CleanInstrumentedRunPasses) {
-  RunInstrumented();
-  const AuditReport report = Audit();
-  EXPECT_TRUE(report.ok()) << report.ToString();
-  EXPECT_GT(report.checks, 0);
-}
-
-TEST_F(ObsAuditTest, ReportsCounterDriftingFromLedger) {
-  RunInstrumented();
-  observer_.metrics().FindOrCreateCounter("crowdsky.rounds")->Add(1);
-  const AuditReport report = Audit();
-  EXPECT_TRUE(HasViolation(report, "obs.counter_ledger"))
-      << report.ToString();
-}
-
-TEST_F(ObsAuditTest, ReportsUnknownCounterUnderDeterministicPrefix) {
-  RunInstrumented();
-  observer_.metrics()
-      .FindOrCreateCounter("crowdsky.not_in_catalog")
-      ->Add(1);
-  const AuditReport report = Audit();
-  EXPECT_TRUE(HasViolation(report, "obs.counter_known"))
-      << report.ToString();
-}
-
-TEST_F(ObsAuditTest, ReportsMissingCatalogCounter) {
-  // A session that never had an observer publishes nothing, so every
-  // catalog counter is reported missing.
-  oracle_ = std::make_unique<PerfectOracle>(dataset_);
-  session_ = std::make_unique<CrowdSession>(oracle_.get());
-  result_ = RunCrowdSky(dataset_, session_.get(), CrowdSkyOptions{});
-  const AuditReport report = Audit();
-  EXPECT_TRUE(HasViolation(report, "obs.counter_present"))
-      << report.ToString();
-}
-
-TEST_F(ObsAuditTest, ReportsCostGaugeMismatch) {
-  RunInstrumented();
-  observer_.metrics().FindOrCreateGauge("crowdsky.cost_usd")->Set(-1.0);
-  const AuditReport report = Audit();
-  EXPECT_TRUE(HasViolation(report, "obs.cost_gauge")) << report.ToString();
-}
-
 }  // namespace
 }  // namespace audit
 }  // namespace crowdsky

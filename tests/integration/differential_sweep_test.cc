@@ -141,9 +141,8 @@ TEST_P(DifferentialSweepTest, DriversAgreeWithBruteForce) {
       EXPECT_GT(a.completeness.unresolved_questions, 0);
     }
 
-    // Deterministic counters mirror the run's own ledgers. (The in-run
-    // auditor already proved them equal to the *session* ledgers; this
-    // checks the externally visible AlgoResult agrees too.)
+    // Deterministic counters are published from the run's own ledgers;
+    // the externally visible AlgoResult must agree with them.
     const EngineResult::ObsInfo& o = r->obs;
     EXPECT_TRUE(o.enabled);
     EXPECT_FALSE(o.tracing);

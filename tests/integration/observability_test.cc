@@ -87,7 +87,7 @@ TEST(ObservabilityTest, CountersMirrorAlgoResult) {
   EngineOptions options;
   options.algorithm = Algorithm::kParallelDSet;
   options.obs.level = obs::ObsLevel::kCounters;
-  options.crowdsky.audit = true;  // auditor proves counters == ledgers
+  options.crowdsky.audit = true;  // the ledgers themselves are audited
   const auto r = RunSkylineQuery(ds, options);
   ASSERT_TRUE(r.ok());
   const AlgoResult& a = r->algo;

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdlib>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
@@ -250,6 +251,55 @@ TEST(JournalTest, EncodeRecordFramesWithSizeAndCrc) {
   uint32_t size = 0;
   std::memcpy(&size, frame.data(), sizeof(size));
   EXPECT_EQ(static_cast<size_t>(size), frame.size() - 8);
+}
+
+/// Sets the kill hook `name` to `value`, builds a writer, appends
+/// `records` round records and exits 0 unless the hook fires first. Meant
+/// to run inside a death-test child, so the setenv stays there.
+void WriteWithKillHook(const std::string& path, const char* name,
+                       const char* value, int records) {
+  ::setenv(name, value, 1);
+  auto writer = JournalWriter::Create(path, kFingerprint, SyncMode::kFlush);
+  if (!writer.ok()) std::_Exit(2);
+  for (int i = 0; i < records; ++i) {
+    if (!(*writer)->Append(RoundRecord(i + 1)).ok()) std::_Exit(3);
+  }
+  std::_Exit(0);
+}
+
+constexpr const char* kKillHooks[] = {"CROWDSKY_JOURNAL_KILL_AFTER",
+                                      "CROWDSKY_JOURNAL_KILL_TEAR"};
+
+TEST(JournalKillHookDeathTest, RejectsMalformedSettings) {
+  const std::string path = TempPath("journal_kill_bad.bin");
+  for (const char* name : kKillHooks) {
+    for (const char* bad :
+         {"5x", "-3", " ", "1.5", "0x10", "99999999999999999999999"}) {
+      EXPECT_DEATH(WriteWithKillHook(path, name, bad, 1), name)
+          << name << "=" << bad;
+    }
+  }
+}
+
+TEST(JournalKillHookDeathTest, EmptyOrZeroIsOff) {
+  const std::string path = TempPath("journal_kill_off.bin");
+  for (const char* name : kKillHooks) {
+    for (const char* off : {"", "0"}) {
+      EXPECT_EXIT(WriteWithKillHook(path, name, off, 3),
+                  ::testing::ExitedWithCode(0), "")
+          << name << "=" << off;
+    }
+  }
+}
+
+TEST(JournalKillHookDeathTest, KillsAfterTheNthRecord) {
+  const std::string path = TempPath("journal_kill_after.bin");
+  EXPECT_EXIT(
+      WriteWithKillHook(path, "CROWDSKY_JOURNAL_KILL_AFTER", "2", 3),
+      ::testing::ExitedWithCode(137), "");
+  auto recovered = ReadJournal(path);
+  ASSERT_TRUE(recovered.ok()) << recovered.status().ToString();
+  EXPECT_EQ(recovered->records.size(), 2u);
 }
 
 TEST(JournalTest, SyncModeNames) {
