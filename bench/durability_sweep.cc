@@ -78,7 +78,6 @@ int main() {
       if (mode.durable) {
         opts.durability.dir = dir.string();
         opts.durability.sync = mode.sync;
-        opts.durability.checkpoint_every_rounds = 8;
       }
 
       const auto fresh_start = std::chrono::steady_clock::now();

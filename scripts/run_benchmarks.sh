@@ -50,8 +50,7 @@ benches=(toy_walkthrough fig6_questions_ind fig7_questions_ant
          fig8_rounds_cardinality fig9_rounds_dimensionality
          fig10_voting_accuracy fig11_accuracy_comparison
          fig12_real_datasets ablations robustness_sweep durability_sweep
-         obs_overhead hotpath_sweep governor_sweep service_sweep
-         distributed_sweep)
+         hotpath_sweep governor_sweep service_sweep distributed_sweep)
 
 if [[ ${list_only} -eq 1 ]]; then
   printf '%s\n' "${benches[@]}" micro | LC_ALL=C sort

@@ -213,44 +213,6 @@ void FillStats(const CrowdSession& session, const CrowdKnowledge& knowledge,
   }
 }
 
-void ApplyResumeState(const DriverResumeState* resume, int num_tuples,
-                      CrowdKnowledge* knowledge, CompletionState* completion,
-                      AlgoResult* result, int64_t* free_lookups) {
-  if (resume == nullptr) return;
-  if (resume->fold != nullptr) {
-    for (const persist::JournalRecord& record : *resume->fold) {
-      if (record.kind != persist::JournalRecord::Kind::kPairAsk ||
-          !record.resolved) {
-        continue;
-      }
-      // Same Record order as the original run; under kFirstWins a noisy
-      // contradiction is rejected now exactly as it was then.
-      knowledge
-          ->Record(record.question.attr, record.question.first,
-                   record.question.second, record.answer)
-          .CheckOK();
-    }
-  }
-  if (resume->checkpoint == nullptr) return;
-  const persist::CheckpointData& ckpt = *resume->checkpoint;
-  CROWDSKY_CHECK_MSG(ckpt.num_tuples == num_tuples,
-                     "checkpoint was taken over a different dataset size");
-  for (int t = 0; t < num_tuples; ++t) {
-    if (!ckpt.complete[static_cast<size_t>(t)]) continue;
-    if (ckpt.nonskyline[static_cast<size_t>(t)]) {
-      completion->MarkNonSkyline(t);
-    } else {
-      completion->MarkSkyline(t);
-    }
-  }
-  result->skyline.assign(ckpt.skyline.begin(), ckpt.skyline.end());
-  for (const int32_t t : ckpt.undetermined) {
-    result->completeness.undetermined_tuples.push_back(t);
-    ++result->incomplete_tuples;
-  }
-  *free_lookups = ckpt.free_lookups;
-}
-
 }  // namespace internal
 
 AlgoResult RunCrowdSky(const Dataset& dataset,
@@ -268,11 +230,6 @@ AlgoResult RunCrowdSky(const Dataset& dataset,
   result.seeded_relations =
       internal::SeedKnownCrowdValues(dataset, options, &knowledge);
   int64_t free_lookups = 0;
-  // On resume this rebuilds the preference tree from the folded journal
-  // prefix before any phase re-executes, so the tie pre-pass and the
-  // evaluators find every previously-paid answer already known.
-  internal::ApplyResumeState(options.resume, n, &knowledge, &completion,
-                             &result, &free_lookups);
   {
     obs::TraceSpan span = obs::SpanIf(options.obs, "phase.resolve_ties");
     internal::ResolveKnownTies(dataset, &knowledge, session, &completion,
@@ -281,8 +238,7 @@ AlgoResult RunCrowdSky(const Dataset& dataset,
   if (monitor) monitor->Observe(completion, &audit_report);
 
   // SKY_AK(R) members are complete from the start; those eliminated by the
-  // tie pre-pass are complete non-skyline tuples instead. A tuple already
-  // complete (restored from a checkpoint) keeps its recovered fate.
+  // tie pre-pass are complete non-skyline tuples instead.
   for (const int t : structure.known_skyline()) {
     if (completion.complete.Test(static_cast<size_t>(t))) continue;
     completion.MarkSkyline(t);
@@ -311,13 +267,6 @@ AlgoResult RunCrowdSky(const Dataset& dataset,
       completion.MarkNonSkyline(t);
     }
     if (monitor) monitor->Observe(completion, &audit_report);
-    // Per-tuple quiescent point: the evaluator is finalized and every paid
-    // step closed its round.
-    if (options.checkpoint_hook != nullptr) {
-      options.checkpoint_hook->MaybeCheckpoint(
-          completion, result.skyline,
-          result.completeness.undetermined_tuples, free_lookups, {});
-    }
   }
 
   evaluate_span.End();

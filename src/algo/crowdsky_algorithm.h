@@ -57,19 +57,6 @@ void AuditFinalState(const Dataset& dataset,
                      const CompletionState& completion,
                      const AlgoResult& result, audit::AuditReport* report);
 
-/// Folds recovered state into a resuming driver, before it executes
-/// anything: rebuilds crowd knowledge from the folded journal prefix (one
-/// Record per resolved pair record, in journal order — the original run's
-/// Record order), then restores the checkpoint's completion bitsets,
-/// partial skyline / undetermined lists and free-lookup ledger. With the
-/// knowledge rebuilt, the re-executed pre-evaluation phases (tie
-/// resolution, probes) find every previously-crowdsourced relation already
-/// in the tree and pay nothing; the completion bitsets make the
-/// evaluation loops skip finished tuples. No-op on `resume == nullptr`.
-void ApplyResumeState(const DriverResumeState* resume, int num_tuples,
-                      CrowdKnowledge* knowledge, CompletionState* completion,
-                      AlgoResult* result, int64_t* free_lookups);
-
 /// Seeds the preference tree with the relations derivable from crowd
 /// values the machine already knows (options.known_crowd_values), so only
 /// pairs involving a genuinely missing value are crowdsourced. Returns

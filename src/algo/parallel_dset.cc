@@ -72,8 +72,6 @@ AlgoResult RunParallelDSet(const Dataset& dataset,
   result.seeded_relations =
       internal::SeedKnownCrowdValues(dataset, options, &knowledge);
   int64_t free_lookups = 0;
-  internal::ApplyResumeState(options.resume, n, &knowledge, &completion,
-                             &result, &free_lookups);
   {
     obs::TraceSpan span = obs::SpanIf(options.obs, "phase.resolve_ties");
     internal::ResolveKnownTies(dataset, &knowledge, session, &completion,
@@ -145,16 +143,6 @@ AlgoResult RunParallelDSet(const Dataset& dataset,
       free_lookups += RunBatchLockstep(batch, structure, &knowledge, session,
                                        &completion, options, &result);
       if (monitor) monitor->Observe(completion, &audit_report);
-    }
-    // Partition boundary: the only quiescent point safe to checkpoint.
-    // Sub-batch boundaries are not — the effective-DS batching above is
-    // computed from the knowledge at partition *entry*, and a resume that
-    // recomputed it mid-partition with later knowledge would batch (and
-    // round-account) differently than the uninterrupted run.
-    if (options.checkpoint_hook != nullptr) {
-      options.checkpoint_hook->MaybeCheckpoint(
-          completion, result.skyline,
-          result.completeness.undetermined_tuples, free_lookups, {});
     }
   }
 

@@ -27,8 +27,6 @@ AlgoResult RunParallelSL(const Dataset& dataset,
   result.seeded_relations =
       internal::SeedKnownCrowdValues(dataset, options, &knowledge);
   int64_t free_lookups = 0;
-  internal::ApplyResumeState(options.resume, n, &knowledge, &completion,
-                             &result, &free_lookups);
   {
     obs::TraceSpan span = obs::SpanIf(options.obs, "phase.resolve_ties");
     internal::ResolveKnownTies(dataset, &knowledge, session, &completion,
@@ -59,21 +57,6 @@ AlgoResult RunParallelSL(const Dataset& dataset,
     }
     waiting[static_cast<size_t>(t)] = w;
     if (w == 0) ready.push_back(t);
-  }
-  if (options.resume != nullptr && options.resume->checkpoint != nullptr) {
-    // The checkpointed pending list is the ready queue at the snapshot, in
-    // activation order (which derives from completion order, not tuple
-    // ids, so it cannot be re-derived here). Adopt it after checking it is
-    // the same *set* the restored completion state implies.
-    const std::vector<int32_t>& pending = options.resume->checkpoint->pending;
-    std::vector<int> computed = ready;
-    std::vector<int> stored(pending.begin(), pending.end());
-    std::sort(computed.begin(), computed.end());
-    std::sort(stored.begin(), stored.end());
-    CROWDSKY_CHECK_MSG(computed == stored,
-                       "checkpoint pending list disagrees with the "
-                       "restored completion state");
-    ready.assign(pending.begin(), pending.end());
   }
 
   std::vector<std::unique_ptr<TupleEvaluator>> active;
@@ -122,15 +105,6 @@ AlgoResult RunParallelSL(const Dataset& dataset,
     active.resize(keep);
     if (any_paid) session->EndRound();
     if (monitor) monitor->Observe(completion, &audit_report);
-    // Quiescent only when the active wave fully drained: no evaluator is
-    // mid-flight and the round is closed. `ready` is exactly the pending
-    // work the checkpoint must carry (its order derives from completion
-    // order and is not re-derivable on resume).
-    if (active.empty() && options.checkpoint_hook != nullptr) {
-      options.checkpoint_hook->MaybeCheckpoint(
-          completion, result.skyline,
-          result.completeness.undetermined_tuples, free_lookups, ready);
-    }
     // Tuples whose last direct dominator completed this round join the
     // next round.
     if (!ready.empty()) {

@@ -9,40 +9,9 @@
 #include "common/bitset.h"
 #include "core/governor.h"
 #include "crowd/session.h"
-#include "persist/checkpoint.h"
 #include "prefgraph/preference_graph.h"
 
 namespace crowdsky {
-
-struct CompletionState;
-
-/// Driver-side durability callback. A driver invokes it at every
-/// *quiescent* point — no evaluator mid-flight, no open crowd round — with
-/// its progress so far; the engine-provided implementation decides whether
-/// the cadence warrants writing a checkpoint (and syncing the journal
-/// first). `skyline`/`undetermined` are in discovery order; `pending` is
-/// the driver-specific pending work list (ParallelSL's ready queue in
-/// activation order; empty for drivers that re-derive iteration order from
-/// the completion bitsets).
-class DriverCheckpointHook {
- public:
-  virtual ~DriverCheckpointHook() = default;
-  virtual void MaybeCheckpoint(const CompletionState& completion,
-                               const std::vector<int>& skyline,
-                               const std::vector<int>& undetermined,
-                               int64_t free_lookups,
-                               const std::vector<int>& pending) = 0;
-};
-
-/// Recovered state a resuming driver folds in before executing: the
-/// checkpoint (null on a journal-only resume) and the journal prefix it
-/// covers, used to rebuild crowd knowledge in original Record order. The
-/// journal *tail* is not here — it replays through normal execution as
-/// session credits. Both pointers must outlive the run.
-struct DriverResumeState {
-  const persist::CheckpointData* checkpoint = nullptr;
-  const std::vector<persist::JournalRecord>* fold = nullptr;
-};
 
 /// Which of Algorithm 1's pruning rules are active. Turning rules off is
 /// how the benches reproduce the DSet / P1 / P1+P2 / P1+P2+P3 series of
@@ -109,10 +78,6 @@ struct CrowdSkyOptions {
   /// report. Costs roughly O(n^2) extra work — meant for tests and
   /// debugging, not production serving.
   bool audit = false;
-  /// Durability wiring (both null on a plain run; the engine sets them
-  /// when a journal directory is configured). Not owned.
-  DriverCheckpointHook* checkpoint_hook = nullptr;
-  const DriverResumeState* resume = nullptr;
   /// Observability sink (src/obs): drivers emit phase TraceSpans through
   /// it; metrics are published from the run's ledgers by the engine after
   /// the driver returns. Null (default) disables everything — the span

@@ -18,7 +18,6 @@
 #include "crowd/session.h"
 #include "crowd/voting.h"
 #include "obs/observer.h"
-#include "persist/checkpoint.h"
 #include "persist/recovery.h"
 #include "skyline/dominance_structure.h"
 
@@ -50,70 +49,6 @@ struct Fingerprinter {
       AddI(static_cast<int64_t>(v));
     }
   }
-};
-
-/// The engine-side DriverCheckpointHook: at each quiescent driver point,
-/// write a checkpoint if enough rounds closed since the last one. The
-/// journal is synced first so the checkpoint never references records
-/// that are not durable yet.
-class EngineCheckpointer : public DriverCheckpointHook {
- public:
-  EngineCheckpointer(std::string path, uint64_t fingerprint, int num_tuples,
-                     int every_rounds, CrowdSession* session,
-                     const RunGovernor* governor)
-      : path_(std::move(path)),
-        fingerprint_(fingerprint),
-        num_tuples_(num_tuples),
-        every_rounds_(every_rounds),
-        session_(session),
-        governor_(governor) {}
-
-  void MaybeCheckpoint(const CompletionState& completion,
-                       const std::vector<int>& skyline,
-                       const std::vector<int>& undetermined,
-                       int64_t free_lookups,
-                       const std::vector<int>& pending) override {
-    CROWDSKY_CHECK_MSG(session_->open_round_questions() == 0,
-                       "drivers must only offer checkpoints at quiescent "
-                       "points (no open crowd round)");
-    const int64_t rounds = session_->stats().rounds;
-    // A governor stop overrides the cadence: the terminated run leaves a
-    // checkpoint at its final quiescent point (once — the guard below
-    // keeps repeated post-stop offers from rewriting an identical file).
-    const bool force = governor_ != nullptr && governor_->stopped() &&
-                       rounds > last_checkpoint_rounds_;
-    if (!force && rounds - last_checkpoint_rounds_ < every_rounds_) return;
-    persist::JournalWriter* journal = session_->journal();
-    CROWDSKY_CHECK(journal != nullptr);
-    journal->Sync().CheckOK();
-    persist::CheckpointData data;
-    data.fingerprint = fingerprint_;
-    data.journal_records = session_->journal_position();
-    data.num_tuples = num_tuples_;
-    data.complete.resize(static_cast<size_t>(num_tuples_));
-    data.nonskyline.resize(static_cast<size_t>(num_tuples_));
-    for (int t = 0; t < num_tuples_; ++t) {
-      const size_t i = static_cast<size_t>(t);
-      data.complete[i] = completion.complete.Test(i) ? 1 : 0;
-      data.nonskyline[i] = completion.nonskyline.Test(i) ? 1 : 0;
-    }
-    data.skyline.assign(skyline.begin(), skyline.end());
-    data.undetermined.assign(undetermined.begin(), undetermined.end());
-    data.pending.assign(pending.begin(), pending.end());
-    data.free_lookups = free_lookups;
-    data.cache_hits = session_->stats().cache_hits;
-    persist::WriteCheckpoint(path_, data).CheckOK();
-    last_checkpoint_rounds_ = rounds;
-  }
-
- private:
-  std::string path_;
-  uint64_t fingerprint_;
-  int num_tuples_;
-  int64_t every_rounds_;
-  CrowdSession* session_;
-  const RunGovernor* governor_;
-  int64_t last_checkpoint_rounds_ = 0;
 };
 
 }  // namespace
@@ -245,6 +180,11 @@ Result<EngineResult> RunSkylineQuery(const Dataset& dataset,
           "dataset");
     }
   }
+  if (options.durability.checkpoint_every_rounds != 0) {
+    return Status::InvalidArgument(
+        "durability.checkpoint_every_rounds must be 0: checkpoints are "
+        "gone, and the answer journal is the only durability record");
+  }
   if (options.durability.resume && options.durability.dir.empty()) {
     return Status::InvalidArgument(
         "durability.resume requires durability.dir");
@@ -351,9 +291,6 @@ Result<EngineResult> RunSkylineQuery(const Dataset& dataset,
   CrowdSkyOptions crowdsky = options.crowdsky;
   crowdsky.obs = observer.get();
   std::unique_ptr<persist::JournalWriter> journal;
-  persist::ResumeOutcome recovered;
-  DriverResumeState resume_state;
-  std::unique_ptr<EngineCheckpointer> checkpointer;
   const EngineOptions::DurabilityOptions& durability = options.durability;
   if (!durability.dir.empty()) {
     result.durability.enabled = true;
@@ -365,10 +302,10 @@ Result<EngineResult> RunSkylineQuery(const Dataset& dataset,
     }
     const uint64_t fingerprint = RunFingerprint(dataset, options);
     if (durability.resume) {
-      // Replays the journal into the session's answer cache (and restores
-      // the oracle's random streams) before the algorithm runs.
+      // Queues the journal as session credits (and restores the oracle's
+      // random streams) before the algorithm runs.
       CROWDSKY_ASSIGN_OR_RETURN(
-          recovered,
+          persist::ResumeOutcome recovered,
           persist::PrepareResume(durability.dir, fingerprint,
                                  durability.sync, oracle.get(), &session));
       // A governed resume must at least fund the replay: journal credits
@@ -395,37 +332,18 @@ Result<EngineResult> RunSkylineQuery(const Dataset& dataset,
       }
       journal = std::move(recovered.writer);
       result.durability.resumed = true;
-      result.durability.used_checkpoint = recovered.used_checkpoint;
       result.durability.recovered_torn_tail = recovered.recovered_torn_tail;
       result.durability.truncated_termination =
           recovered.truncated_termination;
-      resume_state.checkpoint =
-          recovered.used_checkpoint ? &recovered.checkpoint : nullptr;
-      resume_state.fold = &recovered.fold;
-      crowdsky.resume = &resume_state;
     } else {
       CROWDSKY_ASSIGN_OR_RETURN(
           journal, persist::JournalWriter::Create(
                        persist::JournalPath(durability.dir), fingerprint,
                        durability.sync));
       session.AttachJournal(journal.get());
-      // A checkpoint left by a previous run in the same directory must
+      // A checkpoint file that an older build left in the directory must
       // not outlive the journal it described.
       std::filesystem::remove(persist::CheckpointPath(durability.dir), ec);
-    }
-    // Runs with imported answers are journal-only: a checkpoint
-    // fast-forward rebuilds driver knowledge from the journaled (paid)
-    // prefix, but the original run's knowledge also held seeded answers,
-    // recorded at whatever points the driver consulted them — an
-    // interleaving the journal cannot capture. Full journal replay
-    // re-executes the driver from the start and reconstructs it exactly.
-    if (crowdsky_family && durability.checkpoint_every_rounds > 0 &&
-        options.imported_answers.empty()) {
-      checkpointer = std::make_unique<EngineCheckpointer>(
-          persist::CheckpointPath(durability.dir), fingerprint,
-          dataset.size(), durability.checkpoint_every_rounds, &session,
-          governor.get());
-      crowdsky.checkpoint_hook = checkpointer.get();
     }
   }
 

@@ -108,9 +108,6 @@ struct EngineOptions {
   /// the oracle. CrowdSky-family only, and part of the run fingerprint —
   /// imports shape the question stream, so a resume must import the same
   /// set. Entries must be mutually consistent (no contradicting duplicates).
-  /// Durability for importing runs is journal-only (no checkpoints): seeded
-  /// answers are consulted for free at points the journal cannot record, so
-  /// only a full replay reconstructs the run exactly.
   std::vector<ImportedAnswer> imported_answers;
 
   /// Invoked after every closed crowd round with the total rounds closed so
@@ -148,13 +145,12 @@ struct EngineOptions {
 
   /// Crash safety (src/persist): with a journal directory set, every
   /// resolved crowd answer is written to an append-only, checksummed
-  /// journal before the algorithm acts on it, and driver progress is
-  /// periodically checkpointed. A killed run resumes with `resume = true`:
-  /// already-paid questions replay from the journal (nothing is re-paid),
-  /// completed work is skipped via the checkpoint, and the final result
-  /// is bit-identical to an uninterrupted run.
+  /// journal before the algorithm acts on it. A killed run resumes with
+  /// `resume = true`: the driver re-executes from the start, already-paid
+  /// questions replay from the journal (nothing is re-paid), and the final
+  /// result is bit-identical to an uninterrupted run.
   struct DurabilityOptions {
-    /// Directory for journal.bin / checkpoint.bin. Empty = durability off.
+    /// Directory for journal.bin. Empty = durability off.
     std::string dir;
     /// Resume from the journal already in `dir` (fails if none exists or
     /// it was written by a different configuration); false starts fresh,
@@ -163,13 +159,10 @@ struct EngineOptions {
     /// Per-record durability (flush survives process death — enough for
     /// the kill-point tests; fsync also survives machine crashes).
     persist::SyncMode sync = persist::SyncMode::kFlush;
-    /// At a quiescent driver point, write a checkpoint if at least this
-    /// many crowd rounds closed since the last one. Non-positive disables
-    /// checkpoints (journal-only durability; resume then replays the
-    /// whole run through the answer cache). Cadence and sync mode are
-    /// excluded from the config fingerprint, so they may differ between
-    /// the original run and the resume.
-    int checkpoint_every_rounds = 8;
+    /// Inert: must be 0 (RunSkylineQuery refuses any other value), since
+    /// the journal is the only durability record. Kept only because
+    /// perfbench/perfbench.cc still sets it.
+    int checkpoint_every_rounds = 0;
   };
   DurabilityOptions durability;
 
@@ -213,7 +206,8 @@ struct EngineResult {
   struct DurabilityInfo {
     bool enabled = false;
     bool resumed = false;
-    /// A consistent checkpoint let the driver skip completed work.
+    /// Always false. Kept only because perfbench/perfbench.cc still reads
+    /// it.
     bool used_checkpoint = false;
     /// The crash left a half-written record that recovery truncated.
     bool recovered_torn_tail = false;
@@ -256,10 +250,10 @@ struct EngineResult {
   ObsInfo obs;
 };
 
-/// The run-configuration fingerprint stamped into journals and
-/// checkpoints: a stable hash of the dataset contents, the stream fields
-/// of VisitEngineOptions (core/options_schema.h), the known-crowd masks
-/// and the imported answers. Policy fields (audit flag, durability knobs,
+/// The run-configuration fingerprint stamped into journals: a stable hash
+/// of the dataset contents, the stream fields of VisitEngineOptions
+/// (core/options_schema.h), the known-crowd masks and the imported
+/// answers. Policy fields (audit flag, durability knobs,
 /// cost model, governor caps) are left out, so a resume may e.g. turn
 /// auditing on or raise a cap to extend a terminated run. A resume whose
 /// fingerprint differs from the journal's is refused.

@@ -73,8 +73,6 @@ void VisitEngineOptions(Opts& o, F&& f) {
   f("governor.stall_rounds", o.governor.stall_rounds, kP);
   f("durability.resume", o.durability.resume, kP);
   f("durability.sync", o.durability.sync, kP);
-  f("durability.checkpoint_every_rounds",
-    o.durability.checkpoint_every_rounds, kP);
   auto& c = o.crowdsky;
   f("pruning.use_p1", c.pruning.use_p1, kS);
   f("pruning.use_p2", c.pruning.use_p2, kS);

@@ -199,6 +199,7 @@ CrowdSession::AskResult CrowdSession::TryAsk(int attr, int u, int v,
     // not per caller) and charge nothing.
     return {AskStatus::kUnresolved, Answer::kEqual, /*paid=*/false};
   }
+  RevokeStopBoundary();
   const persist::JournalRecord* credit = nullptr;
   if (!credits_.empty()) {
     credit = &credits_.front();
@@ -249,6 +250,7 @@ double CrowdSession::AskUnary(int id, int attr, const AskContext& ctx) {
   // through CanAsk(), and an asynchronous cancel in between must degrade
   // gracefully, not CHECK-fail.
   CROWDSKY_CHECK_MSG(BudgetCanAsk(), "question budget exhausted");
+  RevokeStopBoundary();
   ++stats_.unary_questions;
   NoteRoundActivity();
   if (!credits_.empty()) {
@@ -334,57 +336,21 @@ void CrowdSession::JournalTermination(const TerminationReport& report) {
 }
 
 void CrowdSession::RestoreFromJournal(
-    const std::vector<persist::JournalRecord>& fold,
-    std::deque<persist::JournalRecord> credits,
-    int64_t checkpoint_cache_hits) {
-  CROWDSKY_CHECK_MSG(stats_.questions == 0 && stats_.unary_questions == 0 &&
-                         stats_.rounds == 0 && stats_.cache_hits == 0 &&
-                         cache_.empty() && journal_position_ == 0,
+    std::deque<persist::JournalRecord> credits) {
+  CROWDSKY_CHECK_MSG(FreshSession(),
                      "RestoreFromJournal requires a fresh session");
-  CROWDSKY_CHECK(checkpoint_cache_hits >= 0);
-  for (const persist::JournalRecord& record : fold) {
-    switch (record.kind) {
-      case persist::JournalRecord::Kind::kPairAsk: {
-        CROWDSKY_CHECK_MSG(record.question == record.question.Canonical(),
-                           "journal pair record is not canonical");
-        AskContext ctx;
-        ctx.freq = static_cast<size_t>(record.freq);
-        (void)RunAskLoop(record.question, /*flipped=*/false, ctx, &record);
-        break;
-      }
-      case persist::JournalRecord::Kind::kUnary:
-        ++stats_.unary_questions;
-        ++open_round_questions_;
-        ++replayed_unary_;
-        break;
-      case persist::JournalRecord::Kind::kRoundEnd:
-        CROWDSKY_CHECK_MSG(open_round_questions_ == record.round_questions,
-                           "journal round boundary does not match the "
-                           "folded records");
-        questions_per_round_.push_back(open_round_questions_);
-        ++stats_.rounds;
-        if (governor_ != nullptr) {
-          governor_->OnRoundClosed(open_round_questions_, ResolvedTotal());
-        }
-        open_round_questions_ = 0;
-        break;
-      case persist::JournalRecord::Kind::kTermination:
-        // PrepareResume truncates the termination epilogue before handing
-        // records to the session; reaching one here means the journal was
-        // fed in unprocessed.
-        CROWDSKY_CHECK_MSG(false,
-                           "termination record in a folded journal prefix");
-        break;
-    }
-    ++journal_position_;
-  }
-  CROWDSKY_CHECK_MSG(open_round_questions_ == 0,
-                     "checkpointed journal prefix must end on a round "
-                     "boundary");
-  // Cache hits the skipped work produced are invisible to the journal
-  // (they were free); the checkpoint carries their count.
-  stats_.cache_hits = checkpoint_cache_hits;
   credits_ = std::move(credits);
+}
+
+void CrowdSession::RevokeStopBoundary() {
+  if (!TrailingBoundaryCredit() || open_round_questions_ == 0) return;
+  if (journal_ != nullptr) {
+    const Status status = journal_->DropLastRecord(credits_.front());
+    CROWDSKY_CHECK_MSG(status.ok(),
+                       "could not revoke the journal's trailing round "
+                       "boundary; aborting rather than diverging from it");
+  }
+  credits_.pop_front();
 }
 
 }  // namespace crowdsky

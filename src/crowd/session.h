@@ -17,9 +17,8 @@
 //  * optional durability — with a journal attached (AttachJournal) every
 //    resolved question, unary ask and closed round is appended to the
 //    write-ahead answer journal the moment it happens; after a crash,
-//    RestoreFromJournal folds the checkpointed prefix of the recovered
-//    journal straight back into this state and queues the tail as
-//    *credits*: the resumed run re-executes deterministically, and each
+//    RestoreFromJournal queues the recovered journal as *credits*: the
+//    resumed run re-executes deterministically from the start, and each
 //    ask that the dead process already paid for draws its attempt
 //    outcomes from the matching credit instead of the oracle — same
 //    accounting code path, no oracle call, nothing paid twice, nothing
@@ -151,7 +150,7 @@ class CrowdSession {
   /// record stream a clean prefix across governed resumes.
   bool CanAsk() const {
     return BudgetCanAsk() &&
-           (governor_ == nullptr || !credits_.empty() ||
+           (governor_ == nullptr || QuestionCreditPending() ||
             governor_->CanFundQuestion(open_round_questions_));
   }
 
@@ -161,7 +160,7 @@ class CrowdSession {
   /// governor, so it counts no denial. Once true it stays true: credits
   /// and budget are only consumed and the governor's stop is sticky.
   bool FundingClosed() const {
-    return credits_.empty() &&
+    return !QuestionCreditPending() &&
            (!BudgetCanAsk() || (governor_ != nullptr && governor_->stopped()));
   }
 
@@ -361,30 +360,33 @@ class CrowdSession {
   /// durable-position and records-appended ledgers stay consistent.
   void JournalTermination(const TerminationReport& report);
 
-  /// Rebuilds session state from a recovered journal. Must be called on a
-  /// fresh session, after SetRetryPolicy/SetQuestionBudget and before the
-  /// algorithm runs. `fold` (the checkpointed prefix) is re-accounted
-  /// immediately — cache, stats, rounds, paid log — exactly as if the asks
-  /// had just happened; `credits` (the tail) is queued and consumed
-  /// in order by the re-executed remainder of the run: a TryAsk /
-  /// AskUnary / EndRound that matches the front credit draws its outcome
-  /// from the journal instead of the oracle and appends nothing.
-  /// `checkpoint_cache_hits` restores the free-lookup ledger the skipped
-  /// work accumulated (cache hits never touch the journal).
-  void RestoreFromJournal(const std::vector<persist::JournalRecord>& fold,
-                          std::deque<persist::JournalRecord> credits,
-                          int64_t checkpoint_cache_hits);
+  /// Queues a recovered journal as credits. Must be called on a fresh
+  /// session, after SetRetryPolicy/SetQuestionBudget and before the
+  /// algorithm runs. The re-executed run consumes the credits in order: a
+  /// TryAsk / AskUnary / EndRound that matches the front credit draws its
+  /// outcome from the journal instead of the oracle and appends nothing.
+  ///
+  /// One mismatch is not a divergence. A governor stop closes its round
+  /// early, so a journal cut after that round's kRoundEnd but before the
+  /// kTermination marker ends in a boundary the resumed run may not
+  /// reach: a live ask while the round is open and that kRoundEnd is the
+  /// only credit left means the boundary was the stop's. The ask revokes
+  /// it (drops it from the queue and the file) and proceeds live. Only a
+  /// stop can make a round shorter than the uncapped run's; a
+  /// deterministic re-execution re-closes every other boundary at the
+  /// same count. Every other mismatch aborts.
+  void RestoreFromJournal(std::deque<persist::JournalRecord> credits);
 
-  /// Journal records this session has accounted for: folded + consumed as
-  /// credits + freshly appended. Checkpoints reference this (the journal
-  /// *file* may still hold unconsumed credits beyond it).
+  /// Journal records this session has accounted for: consumed as credits
+  /// + freshly appended (the journal *file* may still hold unconsumed
+  /// credits beyond it).
   int64_t journal_position() const { return journal_position_; }
   /// Credits still queued (0 once the resumed run passes the crash point).
   int64_t credits_remaining() const {
     return static_cast<int64_t>(credits_.size());
   }
   /// Paid pair attempts whose outcome came from the journal, not the
-  /// oracle (fold + credits).
+  /// oracle.
   int64_t replayed_pair_attempts() const { return replayed_pair_attempts_; }
   /// Unary questions answered from the journal.
   int64_t replayed_unary_questions() const { return replayed_unary_; }
@@ -397,6 +399,21 @@ class CrowdSession {
            stats_.rounds == 0 && stats_.cache_hits == 0 &&
            journal_position_ == 0 && cache_.empty();
   }
+  /// The only credit left is a round boundary (see RestoreFromJournal).
+  bool TrailingBoundaryCredit() const {
+    return credits_.size() == 1 &&
+           credits_.front().kind == persist::JournalRecord::Kind::kRoundEnd;
+  }
+  /// A credit still stands for a question, so the next ask replays it
+  /// instead of paying. The revocable trailing boundary does not: the
+  /// dead run was live at that point, so funding decisions are made as if
+  /// the queue were empty.
+  bool QuestionCreditPending() const {
+    return !credits_.empty() && !TrailingBoundaryCredit();
+  }
+  /// Called before a live ask: revokes the trailing boundary credit if
+  /// the open round is about to outgrow it.
+  void RevokeStopBoundary();
   /// Monotone resolved-work measure for the governor's stall watchdog:
   /// distinct answered pair questions plus unary questions.
   int64_t ResolvedTotal() const {

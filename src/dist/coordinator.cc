@@ -80,6 +80,11 @@ Status ValidateOptions(const Dataset& dataset, const DistOptions& options) {
         "engine.durability.dir is owned by the coordinator (per-shard "
         "directories under run_dir); leave it empty");
   }
+  if (options.engine.durability.checkpoint_every_rounds != 0) {
+    return Status::InvalidArgument(
+        "engine.durability.checkpoint_every_rounds must be 0: the answer "
+        "journal is the only durability record");
+  }
   if (!options.engine.imported_answers.empty() ||
       options.engine.round_callback || options.engine.export_answers) {
     return Status::InvalidArgument(

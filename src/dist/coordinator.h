@@ -2,7 +2,7 @@
 //
 // RunShardedSkylineQuery partitions the dataset across k supervised shard
 // child processes (see supervisor.h), each running one CrowdSky driver over
-// its slice with a private journal/checkpoint directory and an even slice
+// its slice with a private journal directory and an even slice
 // of any governor dollar cap, then merges the surviving shards' candidate
 // skylines with a bounded number of extra crowd rounds:
 //

@@ -1,6 +1,6 @@
 // Configuration and result types for shared-nothing sharded execution
 // (src/dist): k shard child processes, each running one CrowdSky driver
-// over its tuple slice with a private journal/checkpoint directory and
+// over its tuple slice with a private journal directory and
 // governor budget slice, supervised for crashes/hangs/stragglers, and a
 // bounded-round merge that cross-validates the shards' candidate skylines.
 #pragma once
@@ -84,8 +84,8 @@ struct DistOptions {
   /// shards with the remainder funding the merge. CrowdSky-family
   /// algorithms only.
   EngineOptions engine;
-  /// Scratch root: dataset.csv, shard_<i>/ (spec, journal, checkpoint,
-  /// result), merge/. Required.
+  /// Scratch root: dataset.csv, shard_<i>/ (spec, journal, result),
+  /// merge/. Required.
   std::string run_dir;
   /// Shard-capable executable (its main() must route
   /// `--crowdsky_shard <spec>` to RunShardChildMode). Empty =

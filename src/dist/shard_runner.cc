@@ -177,7 +177,6 @@ int RunShardChildMode(int argc, char** argv) {
   out.budget_exhausted = engine_result.algo.completeness.budget_exhausted;
   out.retries_exhausted = engine_result.algo.completeness.retries_exhausted;
   out.resumed = engine_result.durability.resumed;
-  out.used_checkpoint = engine_result.durability.used_checkpoint;
   out.replayed_pair_attempts =
       engine_result.durability.replayed_pair_attempts;
   out.journal_records = engine_result.durability.journal_records;

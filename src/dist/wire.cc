@@ -60,7 +60,6 @@ void VisitResultFields(R& r, F&& f) {
   f("budget_exhausted", r.budget_exhausted);
   f("retries_exhausted", r.retries_exhausted);
   f("resumed", r.resumed);
-  f("used_checkpoint", r.used_checkpoint);
   f("replayed_pair_attempts", r.replayed_pair_attempts);
   f("journal_records", r.journal_records);
   f("termination", r.termination_reason);

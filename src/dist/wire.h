@@ -60,7 +60,6 @@ struct ShardResult {
   bool budget_exhausted = false;
   bool retries_exhausted = false;
   bool resumed = false;
-  bool used_checkpoint = false;
   int64_t replayed_pair_attempts = 0;
   int64_t journal_records = 0;
   std::string termination_reason;

@@ -1,6 +1,7 @@
 #include "persist/journal.h"
 
 #include <fcntl.h>
+#include <sys/stat.h>
 #include <unistd.h>
 
 #include <cerrno>
@@ -315,6 +316,27 @@ Status JournalWriter::Sync() {
     }
     ++fsyncs_;
   }
+  return Status::OK();
+}
+
+Status JournalWriter::DropLastRecord(const JournalRecord& last) {
+  CROWDSKY_CHECK_MSG(appended_ == 0 && existing_ > 0,
+                     "only a recovered tail record can be dropped");
+  const off_t frame = static_cast<off_t>(EncodeRecord(last).size());
+  struct stat st {};
+  if (::fstat(fd_, &st) != 0) {
+    return Status::IOError("cannot stat journal '" + path_ +
+                           "': " + std::strerror(errno));
+  }
+  if (st.st_size < static_cast<off_t>(kHeaderBytes) + frame) {
+    return Status::FailedPrecondition("journal '" + path_ +
+                                      "' is shorter than its last record");
+  }
+  if (::ftruncate(fd_, st.st_size - frame) != 0) {
+    return Status::IOError("cannot truncate journal '" + path_ +
+                           "': " + std::strerror(errno));
+  }
+  --existing_;
   return Status::OK();
 }
 

@@ -138,9 +138,15 @@ class JournalWriter {
   /// Appends one record with the configured durability.
   Status Append(const JournalRecord& record);
 
-  /// Drains the user-space buffer (kBuffered) and fdatasyncs. Called
-  /// before a checkpoint references the journal prefix by record count.
+  /// Drains the user-space buffer (kBuffered) and fdatasyncs. Called when
+  /// a run ends and before the auditor re-reads the file.
   Status Sync();
+
+  /// Cuts `last`, the file's final recovered record, off the file: the
+  /// resume revoking a round boundary that a governor stop closed early.
+  /// Only valid before this writer has appended anything, so `last` is
+  /// still the tail. The next append's durability covers the shorter file.
+  Status DropLastRecord(const JournalRecord& last);
 
   const std::string& path() const { return path_; }
   SyncMode sync_mode() const { return sync_; }

@@ -175,18 +175,6 @@ Result<ResumeOutcome> PrepareResume(const std::string& dir,
   }
   out.open_tail_questions = tail;
 
-  // A checkpoint is an optimization, never a requirement: missing,
-  // corrupt, mismatched or stale checkpoints all degrade to a journal-only
-  // resume (fold nothing, replay everything as credits).
-  const Result<CheckpointData> checkpoint =
-      ReadCheckpoint(CheckpointPath(dir));
-  if (checkpoint.ok() && checkpoint->fingerprint == fingerprint &&
-      checkpoint->journal_records >= 0 &&
-      checkpoint->journal_records <= out.journal_records) {
-    out.used_checkpoint = true;
-    out.checkpoint = *checkpoint;
-  }
-
   // Re-drive the oracle over every recovered record. This authenticates
   // the journal against the current seed/options and leaves the oracle's
   // random streams exactly where the dead process's stood.
@@ -195,22 +183,9 @@ Result<ResumeOutcome> PrepareResume(const std::string& dir,
                                          static_cast<int64_t>(i)));
   }
 
-  const auto fold_end =
-      recovered.records.begin() +
-      (out.used_checkpoint
-           ? static_cast<ptrdiff_t>(out.checkpoint.journal_records)
-           : 0);
-  out.fold.assign(std::make_move_iterator(recovered.records.begin()),
-                  std::make_move_iterator(fold_end));
-  std::deque<JournalRecord> credits(
-      std::make_move_iterator(fold_end),
-      std::make_move_iterator(recovered.records.end()));
-  out.folded_records = static_cast<int64_t>(out.fold.size());
-  out.credit_records = static_cast<int64_t>(credits.size());
-
-  session->RestoreFromJournal(
-      out.fold, std::move(credits),
-      out.used_checkpoint ? out.checkpoint.cache_hits : 0);
+  session->RestoreFromJournal(std::deque<JournalRecord>(
+      std::make_move_iterator(recovered.records.begin()),
+      std::make_move_iterator(recovered.records.end())));
 
   CROWDSKY_ASSIGN_OR_RETURN(
       out.writer, JournalWriter::OpenForAppend(journal_path, fingerprint,

@@ -8,21 +8,21 @@
 //      answers), so a terminated run can resume under a larger budget,
 //   2. refuses to proceed if the journal's config fingerprint does not
 //      match the resuming run's,
-//   3. loads the checkpoint if one exists and is consistent (corrupt or
-//      stale checkpoints degrade to a journal-only resume, never an error),
-//   4. re-drives the deterministic oracle over *every* recovered record,
+//   3. re-drives the deterministic oracle over *every* recovered record,
 //      verifying bit-exact agreement (attempt outcomes, answers, unary
 //      values, fault-trace cursors) — this both authenticates the journal
 //      against the current configuration and advances the oracle's RNG /
 //      worker-pool / fault state to exactly where the dead process stood,
-//   5. folds the checkpointed prefix into the session and queues the tail
-//      as credits, and
-//   6. reopens the journal for appending.
+//   4. queues every recovered record in the session as a credit, and
+//   5. reopens the journal for appending.
 //
-// After PrepareResume succeeds, the algorithm simply runs: completed work
-// is skipped via the checkpoint, already-paid questions replay from
-// credits, and the first genuinely new question hits the oracle with every
-// random stream in the same position as an uninterrupted run.
+// After PrepareResume succeeds, the algorithm simply runs from the start:
+// already-paid questions replay from credits, and the first genuinely new
+// question hits the oracle with every random stream in the same position
+// as an uninterrupted run. A crash that left the stop's round boundary
+// behind without its kTermination marker is handled by the session, which
+// revokes that boundary if the resumed run keeps the round open
+// (see CrowdSession::RestoreFromJournal).
 #pragma once
 
 #include <cstdint>
@@ -31,7 +31,6 @@
 #include <vector>
 
 #include "common/result.h"
-#include "persist/checkpoint.h"
 #include "persist/journal.h"
 
 namespace crowdsky {
@@ -41,16 +40,15 @@ class CrowdSession;
 
 namespace crowdsky::persist {
 
-/// Canonical file locations inside a durability directory.
+/// Canonical file location of the journal inside a durability directory.
 std::string JournalPath(const std::string& dir);
+/// Where older builds wrote driver checkpoints. Nothing writes or reads
+/// one any more; the engine only removes a stale file when it creates a
+/// fresh journal. Kept because perfbench/perfbench.cc still sizes it.
 std::string CheckpointPath(const std::string& dir);
 
 /// Everything a resumed run needs that the session does not hold itself.
 struct ResumeOutcome {
-  /// A consistent checkpoint was found; `checkpoint` is meaningful and the
-  /// driver should skip the completed work it describes.
-  bool used_checkpoint = false;
-  CheckpointData checkpoint;
   /// The crash left a half-written record that was truncated away.
   bool recovered_torn_tail = false;
   int64_t torn_bytes = 0;
@@ -64,13 +62,8 @@ struct ResumeOutcome {
   /// cover the replay of what was already paid.
   std::vector<int64_t> round_questions;
   int64_t open_tail_questions = 0;
-  /// Valid records recovered = folded_records + credit_records.
+  /// Valid records recovered, all queued as session credits.
   int64_t journal_records = 0;
-  int64_t folded_records = 0;
-  int64_t credit_records = 0;
-  /// The folded prefix, kept alive for the driver's knowledge rebuild
-  /// (preference-graph Record() replay in journal order).
-  std::vector<JournalRecord> fold;
   /// The reopened journal; attach to the session and keep alive for the
   /// rest of the run.
   std::unique_ptr<JournalWriter> writer;

@@ -1,7 +1,7 @@
-// Minimal little-endian wire format helpers shared by the journal and
-// checkpoint codecs, plus the CRC-32 (IEEE 802.3) used to checksum every
-// on-disk frame. Header-only and dependency-free so both sides of the
-// persist library (and its tests) can use them without extra linkage.
+// Minimal little-endian wire format helpers for the journal codec, plus
+// the CRC-32 (IEEE 802.3) used to checksum every on-disk frame.
+// Header-only and dependency-free so the persist library and its tests can
+// use them without extra linkage.
 #pragma once
 
 #include <cstdint>
@@ -98,7 +98,6 @@ class ByteReader {
   bool ok() const { return ok_; }
   /// True iff every byte was consumed and no read went out of bounds.
   bool exhausted() const { return ok_ && pos_ == data_.size(); }
-  size_t remaining() const { return ok_ ? data_.size() - pos_ : 0; }
 
  private:
   void GetLe(void* out, size_t size) {

@@ -349,8 +349,8 @@ TEST_F(EvaluatorTest, ClosedFundingWithPendingCreditsReplaysThemFirst) {
   persist::JournalRecord round_end;
   round_end.kind = persist::JournalRecord::Kind::kRoundEnd;
   round_end.round_questions = 1;
-  session_.RestoreFromJournal({}, std::deque<persist::JournalRecord>{
-                                      ask, round_end}, 0);
+  session_.RestoreFromJournal(
+      std::deque<persist::JournalRecord>{ask, round_end});
   governor.Latch();
   ASSERT_FALSE(session_.FundingClosed());
 

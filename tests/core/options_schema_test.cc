@@ -160,7 +160,6 @@ dist::ShardSpec FullSpec() {
   e.governor.stall_rounds = 6;
   e.durability.resume = true;
   e.durability.sync = persist::SyncMode::kFsync;
-  e.durability.checkpoint_every_rounds = 3;
   e.crowdsky.pruning = PruningConfig::P1();
   e.crowdsky.contradiction_policy = ContradictionPolicy::kFail;
   e.crowdsky.multi_attr = MultiAttributeStrategy::kRoundRobin;
@@ -191,7 +190,6 @@ dist::ShardResult FullResult() {
   r.budget_exhausted = true;
   r.retries_exhausted = true;
   r.resumed = true;
-  r.used_checkpoint = true;
   r.replayed_pair_attempts = 17;
   r.journal_records = 60;
   r.termination_reason = "dollar_cap";
@@ -271,7 +269,6 @@ governor.max_cost_usd=1.5
 governor.stall_rounds=6
 durability.resume=1
 durability.sync=2
-durability.checkpoint_every_rounds=3
 pruning.use_p1=1
 pruning.use_p2=0
 pruning.use_p3=0
@@ -303,7 +300,6 @@ unresolved_questions=1
 budget_exhausted=1
 retries_exhausted=1
 resumed=1
-used_checkpoint=1
 replayed_pair_attempts=17
 journal_records=60
 termination=dollar_cap
@@ -468,14 +464,14 @@ TEST(OptionsSchemaTest, EveryOptionsFieldIsListedOrExcluded) {
             ListedWithin(o, o.governor) +
                 excluded({"deadline_seconds", "allow_wall_clock", "cancel"}));
   EXPECT_EQ(Arity<EngineOptions::DurabilityOptions>(),
-            ListedWithin(o, o.durability) + excluded({"dir"}));
+            ListedWithin(o, o.durability) +
+                excluded({"dir", "checkpoint_every_rounds"}));
   EXPECT_EQ(Arity<EngineOptions::ObsOptions>(),
             excluded({"level", "trace_path", "metrics_path"}));
   EXPECT_EQ(Arity<CrowdSkyOptions>(),
             ListedWithin(o, o.crowdsky) -
                 ListedWithin(o, o.crowdsky.pruning) + 1 +
-                excluded({"known_crowd_values", "checkpoint_hook", "resume",
-                          "obs"}));
+                excluded({"known_crowd_values", "obs"}));
   const size_t nested = ListedWithin(o, o.worker) +
                         ListedWithin(o, o.marketplace) +
                         ListedWithin(o, o.retry) +

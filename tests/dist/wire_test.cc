@@ -42,7 +42,6 @@ TEST(WireTest, ShardSpecRoundTrip) {
   spec.engine.governor.max_rounds = 11;
   spec.engine.governor.max_cost_usd = 1.5;
   spec.engine.durability.resume = true;
-  spec.engine.durability.checkpoint_every_rounds = 3;
   spec.engine.crowdsky.pruning.use_p2 = false;
   spec.engine.crowdsky.audit = true;
   spec.kill_at_round = 4;
@@ -86,8 +85,6 @@ TEST(WireTest, ShardSpecRoundTrip) {
   // The journal directory is derived from the shard dir, not transmitted.
   EXPECT_EQ(d.engine.durability.dir, spec.shard_dir);
   EXPECT_EQ(d.engine.durability.resume, spec.engine.durability.resume);
-  EXPECT_EQ(d.engine.durability.checkpoint_every_rounds,
-            spec.engine.durability.checkpoint_every_rounds);
   EXPECT_EQ(d.engine.crowdsky.pruning.use_p2,
             spec.engine.crowdsky.pruning.use_p2);
   EXPECT_TRUE(d.engine.crowdsky.pruning.use_p1);
@@ -116,7 +113,6 @@ TEST(WireTest, ShardResultRoundTrip) {
   r.unresolved_questions = 1;
   r.budget_exhausted = true;
   r.resumed = true;
-  r.used_checkpoint = true;
   r.replayed_pair_attempts = 17;
   r.journal_records = 60;
   r.termination_reason = "dollar_cap";
@@ -143,7 +139,6 @@ TEST(WireTest, ShardResultRoundTrip) {
   EXPECT_EQ(d.budget_exhausted, r.budget_exhausted);
   EXPECT_EQ(d.retries_exhausted, r.retries_exhausted);
   EXPECT_EQ(d.resumed, r.resumed);
-  EXPECT_EQ(d.used_checkpoint, r.used_checkpoint);
   EXPECT_EQ(d.replayed_pair_attempts, r.replayed_pair_attempts);
   EXPECT_EQ(d.journal_records, r.journal_records);
   EXPECT_EQ(d.termination_reason, r.termination_reason);

@@ -81,7 +81,6 @@ int RunChaosChildMode(int argc, char** argv) {
   opt.durability.dir = dir;
   opt.durability.resume = resume;
   opt.durability.sync = persist::SyncMode::kFlush;
-  opt.durability.checkpoint_every_rounds = 3;
   opt.governor.max_cost_usd = max_cost_usd;
   opt.governor.max_rounds = max_rounds;
   if (fault_rate > 0.0) {
@@ -327,6 +326,45 @@ TEST(ChaosEdgeTest, ChainedCapExtensionsConverge) {
   const ChildRun last = RunChild("serial", dir, seed, 0.0, /*resume=*/true);
   ASSERT_EQ(last.exit_code, 0) << last.output;
   ExpectSameResult(baseline, last);
+}
+
+// The crash window between a governed stop and its termination marker:
+// the capped child dies right after appending the stop's final kRoundEnd,
+// before kTermination. An uncapped resume must revoke that boundary where
+// the uncapped run keeps the round open, and print the never-capped
+// result (every field but the replay count).
+TEST(ChaosEdgeTest, KillBeforeTerminationMarkerResumesToBaseline) {
+  const uint64_t seed = 23;
+  for (const char* algo : {"serial", "dset", "sl"}) {
+    SCOPED_TRACE(algo);
+    const ChildRun baseline = RunChild(
+        algo, FreshDir(std::string("chaos_tw_base_") + algo), seed, 0.0,
+        /*resume=*/false);
+    ASSERT_EQ(baseline.exit_code, 0) << baseline.output;
+
+    const Limits cap{/*cap=*/0.5, /*rounds=*/0};
+    const ChildRun probe =
+        RunChild(algo, FreshDir(std::string("chaos_tw_probe_") + algo), seed,
+                 0.0, /*resume=*/false, cap);
+    ASSERT_EQ(probe.exit_code, 0) << probe.output;
+    ASSERT_EQ(ResultField(probe, "reason"), "dollar_cap");
+    const long records = std::atol(ResultField(probe, "records").c_str());
+    ASSERT_GT(records, 2) << probe.output;
+
+    const std::string dir = FreshDir(std::string("chaos_tw_") + algo);
+    const ChildRun killed = RunChild(algo, dir, seed, 0.0, /*resume=*/false,
+                                     cap, records - 1);
+    EXPECT_EQ(killed.exit_code, kKillExitCode) << killed.output;
+    EXPECT_TRUE(killed.result.empty()) << "killed child printed a result";
+
+    ChildRun resumed = RunChild(algo, dir, seed, 0.0, /*resume=*/true);
+    ASSERT_EQ(resumed.exit_code, 0) << resumed.output;
+    EXPECT_GT(std::atol(ResultField(resumed, "replayed").c_str()), 0);
+    std::map<std::string, std::string> expected = baseline.result;
+    expected.erase("replayed");
+    resumed.result.erase("replayed");
+    EXPECT_EQ(resumed.result, expected);
+  }
 }
 
 // Round caps across all three drivers under faults: the run stops at the

@@ -79,7 +79,6 @@ EngineOptions CellOptions(const SweepCell& cell, Algorithm driver,
   }
   if (cell.durable) {
     options.durability.dir = journal_dir;
-    options.durability.checkpoint_every_rounds = 4;
   }
   return options;
 }

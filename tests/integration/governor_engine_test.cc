@@ -7,9 +7,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <fstream>
+#include <iterator>
+#include <string>
 
 #include "audit/invariant_auditor.h"
 #include "core/crowdsky.h"
+#include "persist/recovery.h"
 #include "skyline/algorithms.h"
 #include "testing/temp_dir.h"
 
@@ -176,6 +180,106 @@ TEST(GovernorEngineTest, ParallelCappedResumeMatchesUncapped) {
   auditor.AuditResumeExtension(partial->algo, r->algo, &report);
   EXPECT_TRUE(report.ok()) << report.ToString();
 }
+
+std::string FileBytes(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return {std::istreambuf_iterator<char>(in),
+          std::istreambuf_iterator<char>()};
+}
+
+// The crash: everything up to a capped run's final kRoundEnd is durable,
+// its kTermination record is not.
+void CutTerminationRecord(const std::string& path) {
+  const auto journal = persist::ReadJournal(path);
+  ASSERT_TRUE(journal.ok());
+  ASSERT_GE(journal->records.size(), 2u);
+  const persist::JournalRecord& last = journal->records.back();
+  ASSERT_EQ(last.kind, persist::JournalRecord::Kind::kTermination);
+  ASSERT_EQ(journal->records[journal->records.size() - 2].kind,
+            persist::JournalRecord::Kind::kRoundEnd);
+  const auto frame = static_cast<int64_t>(persist::EncodeRecord(last).size());
+  ASSERT_TRUE(
+      persist::TruncateJournal(path, journal->valid_bytes - frame).ok());
+}
+
+class GovernorEngineCrashWindowTest
+    : public ::testing::TestWithParam<Algorithm> {};
+
+// A process that dies after a governed stop closed its final round but
+// before JournalTermination wrote the stop marker leaves a journal whose
+// last record is the stop's kRoundEnd. For the parallel drivers that
+// boundary may close a round the uncapped run would have kept open, so an
+// uncapped resume must revoke it. Every cell cuts only the kTermination
+// record of a capped journal. Resumed under the same cap, the run stops
+// where it stopped and rewrites the same journal; resumed uncapped, it
+// returns the never-capped result and the never-capped journal bytes.
+TEST_P(GovernorEngineCrashWindowTest, ResumeAfterCutTerminationRecord) {
+  const Algorithm algo = GetParam();
+  for (uint64_t seed = 1; seed <= 8; ++seed) {
+    const Dataset ds = Small(seed);
+    const EngineOptions base = Governed(algo);
+    const auto full = RunSkylineQuery(ds, base);
+    ASSERT_TRUE(full.ok());
+    EngineOptions journaled = base;
+    journaled.durability.dir = testing::FreshTempDir("crash_window_full");
+    ASSERT_TRUE(RunSkylineQuery(ds, journaled).ok());
+    const std::string full_journal =
+        FileBytes(persist::JournalPath(journaled.durability.dir));
+
+    for (const double cap : {0.3, 0.5, 1.1}) {
+      SCOPED_TRACE(std::string(AlgorithmName(algo)) + " seed " +
+                   std::to_string(seed) + " cap " + std::to_string(cap));
+      EngineOptions capped = base;
+      capped.durability.dir = testing::FreshTempDir("crash_window");
+      capped.governor.max_cost_usd = cap;
+      const auto partial = RunSkylineQuery(ds, capped);
+      ASSERT_TRUE(partial.ok());
+      ASSERT_EQ(partial->algo.termination.reason,
+                TerminationReason::kDollarCap);
+      const std::string path = persist::JournalPath(capped.durability.dir);
+      const std::string capped_journal = FileBytes(path);
+
+      CutTerminationRecord(path);
+      EngineOptions same_cap = capped;
+      same_cap.durability.resume = true;
+      const auto again = RunSkylineQuery(ds, same_cap);
+      ASSERT_TRUE(again.ok());
+      EXPECT_EQ(again->algo.termination.reason,
+                TerminationReason::kDollarCap);
+      EXPECT_EQ(again->algo.skyline, partial->algo.skyline);
+      EXPECT_EQ(again->algo.questions, partial->algo.questions);
+      EXPECT_EQ(again->algo.rounds, partial->algo.rounds);
+      EXPECT_EQ(again->algo.incomplete_tuples,
+                partial->algo.incomplete_tuples);
+      EXPECT_TRUE(FileBytes(path) == capped_journal)
+          << "the same-cap resume rewrote a different journal";
+
+      CutTerminationRecord(path);
+      EngineOptions uncapped = capped;
+      uncapped.durability.resume = true;
+      uncapped.governor = GovernorOptions{};
+      const auto r = RunSkylineQuery(ds, uncapped);
+      ASSERT_TRUE(r.ok());
+      EXPECT_FALSE(r->durability.truncated_termination);
+      EXPECT_EQ(r->algo.skyline, full->algo.skyline);
+      EXPECT_EQ(r->algo.questions, full->algo.questions);
+      EXPECT_EQ(r->algo.rounds, full->algo.rounds);
+      EXPECT_EQ(r->algo.free_lookups, full->algo.free_lookups);
+      EXPECT_EQ(r->algo.incomplete_tuples, 0);
+      EXPECT_DOUBLE_EQ(r->cost_usd, full->cost_usd);
+      EXPECT_TRUE(FileBytes(path) == full_journal)
+          << "the resumed journal differs from a never-capped run's";
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    AllDrivers, GovernorEngineCrashWindowTest,
+    ::testing::Values(Algorithm::kCrowdSkySerial, Algorithm::kParallelDSet,
+                      Algorithm::kParallelSL),
+    [](const ::testing::TestParamInfo<Algorithm>& param) {
+      return std::string(AlgorithmName(param.param));
+    });
 
 TEST(GovernorEngineTest, ResumeUnderTooSmallCapIsRefused) {
   const Dataset ds = Small(7);

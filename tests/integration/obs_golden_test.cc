@@ -5,10 +5,9 @@
 // history, the journal writer, the governor, the service packer). This
 // table pins those views for each driver x obs level x run shape — a
 // PerfectOracle run, a faulty marketplace run (retries, degraded quorum,
-// unresolved questions), a governor-capped journaled run and its uncapped
-// resume, and a capped run checkpointed every two rounds and its resume —
-// plus one packed RunService batch. A change to how the metrics are
-// published must reproduce every row bit for bit.
+// unresolved questions), and a governor-capped journaled run and its
+// uncapped resume — plus one packed RunService batch. A change to how the
+// metrics are published must reproduce every row bit for bit.
 //
 // Columns: the number and CRC32 of the counter and gauge samples under
 // the deterministic prefixes, the CRC32 of the Prometheus text without the
@@ -30,9 +29,6 @@
 #include <vector>
 
 #include "core/crowdsky.h"
-#include "persist/checkpoint.h"
-#include "persist/journal.h"
-#include "persist/recovery.h"
 #include "persist/wire.h"
 #include "service/service.h"
 #include "testing/temp_dir.h"
@@ -66,30 +62,18 @@ const std::vector<GoldenRow> kGolden = {
     {"ParallelDSet/full/faulty", 17, 23021194u, 1260322642u, 559},
     {"ParallelSL/counters/faulty", 17, 2694543766u, 3098842908u, 557},
     {"ParallelSL/full/faulty", 17, 2694543766u, 3098842908u, 557},
-    {"CrowdSky/counters/capped", 26, 3726003307u, 2447967808u, 0},
-    {"CrowdSky/counters/capped_resume", 20, 1124119915u, 2979669871u, 0},
-    {"CrowdSky/full/capped", 26, 3726003307u, 2447967808u, 0},
-    {"CrowdSky/full/capped_resume", 20, 1124119915u, 2979669871u, 0},
-    {"ParallelDSet/counters/capped", 26, 3202849247u, 3757452411u, 0},
-    {"ParallelDSet/counters/capped_resume", 20, 1638588820u, 1366833452u, 0},
-    {"ParallelDSet/full/capped", 26, 3202849247u, 3757452411u, 0},
-    {"ParallelDSet/full/capped_resume", 20, 1638588820u, 1366833452u, 0},
-    {"ParallelSL/counters/capped", 26, 2893547749u, 2857157804u, 4},
-    {"ParallelSL/counters/capped_resume", 20, 4021955542u, 56582072u, 8},
-    {"ParallelSL/full/capped", 26, 2893547749u, 2857157804u, 4},
-    {"ParallelSL/full/capped_resume", 20, 4021955542u, 56582072u, 8},
-    {"CrowdSky/counters/ckpt", 26, 2857118567u, 1977499063u, 0},
-    {"CrowdSky/counters/ckpt_resume", 20, 3987102705u, 2338688237u, 0},
-    {"CrowdSky/full/ckpt", 26, 2857118567u, 1977499063u, 0},
-    {"CrowdSky/full/ckpt_resume", 20, 3987102705u, 2338688237u, 0},
-    {"ParallelDSet/counters/ckpt", 26, 3434449148u, 235696226u, 0},
-    {"ParallelDSet/counters/ckpt_resume", 20, 2254019884u, 44459769u, 0},
-    {"ParallelDSet/full/ckpt", 26, 3434449148u, 235696226u, 0},
-    {"ParallelDSet/full/ckpt_resume", 20, 2254019884u, 44459769u, 0},
-    {"ParallelSL/counters/ckpt", 26, 2893547749u, 2857157804u, 4},
-    {"ParallelSL/counters/ckpt_resume", 20, 3551804173u, 3475556441u, 15},
-    {"ParallelSL/full/ckpt", 26, 2893547749u, 2857157804u, 4},
-    {"ParallelSL/full/ckpt_resume", 20, 3551804173u, 3475556441u, 15},
+    {"CrowdSky/counters/capped", 26, 916619891u, 2197190639u, 0},
+    {"CrowdSky/counters/capped_resume", 20, 1298253734u, 4031252099u, 0},
+    {"CrowdSky/full/capped", 26, 916619891u, 2197190639u, 0},
+    {"CrowdSky/full/capped_resume", 20, 1298253734u, 4031252099u, 0},
+    {"ParallelDSet/counters/capped", 26, 604063460u, 1004792805u, 0},
+    {"ParallelDSet/counters/capped_resume", 20, 1024145314u, 1096508400u, 0},
+    {"ParallelDSet/full/capped", 26, 604063460u, 1004792805u, 0},
+    {"ParallelDSet/full/capped_resume", 20, 1024145314u, 1096508400u, 0},
+    {"ParallelSL/counters/capped", 26, 916379614u, 1908707965u, 4},
+    {"ParallelSL/counters/capped_resume", 20, 2640858956u, 2551001350u, 8},
+    {"ParallelSL/full/capped", 26, 916379614u, 1908707965u, 4},
+    {"ParallelSL/full/capped_resume", 20, 2640858956u, 2551001350u, 8},
 };
 
 constexpr const char* kFreeLookups = "crowdsky.free_lookups";
@@ -247,41 +231,6 @@ TEST_P(ObsGoldenTest, CappedRunAndResume) {
   const EngineResult resumed = RunCell(Prefix() + "capped_resume", ds, opt);
   EXPECT_TRUE(resumed.durability.truncated_termination);
   EXPECT_EQ(resumed.algo.incomplete_tuples, 0);
-}
-
-// A capped run checkpointed every two rounds, cut where its final
-// checkpoint ends (a crash just before the termination record), then
-// resumed uncapped: the resume folds the checkpointed prefix and restores
-// its cache hits. That checkpoint was taken after the stop, so it carries
-// the capped run's undetermined tuples into the resume.
-TEST_P(ObsGoldenTest, CheckpointedRunAndResume) {
-  const Dataset ds = MakeData(1);
-  EngineOptions opt = Base();
-  opt.oracle = OracleKind::kMarketplace;
-  opt.governor.max_cost_usd = 1.0;
-  opt.durability.dir = testing::FreshTempDir("obs_golden");
-  opt.durability.checkpoint_every_rounds = 2;
-  const EngineResult capped = RunCell(Prefix() + "ckpt", ds, opt);
-  EXPECT_TRUE(capped.algo.termination.governed);
-
-  const auto checkpoint =
-      persist::ReadCheckpoint(persist::CheckpointPath(opt.durability.dir));
-  ASSERT_TRUE(checkpoint.ok()) << checkpoint.status().ToString();
-  const std::string journal = persist::JournalPath(opt.durability.dir);
-  const auto records = persist::ReadJournal(journal);
-  ASSERT_TRUE(records.ok()) << records.status().ToString();
-  int64_t bytes = records->valid_bytes;
-  for (size_t i = static_cast<size_t>(checkpoint->journal_records);
-       i < records->records.size(); ++i) {
-    bytes -= static_cast<int64_t>(
-        persist::EncodeRecord(records->records[i]).size());
-  }
-  ASSERT_TRUE(persist::TruncateJournal(journal, bytes).ok());
-
-  opt.governor.max_cost_usd = 0.0;
-  opt.durability.resume = true;
-  const EngineResult resumed = RunCell(Prefix() + "ckpt_resume", ds, opt);
-  EXPECT_TRUE(resumed.durability.used_checkpoint);
 }
 
 INSTANTIATE_TEST_SUITE_P(

@@ -145,8 +145,6 @@ TEST(ObservabilityTest, ResumeCountsReplayedWork) {
   options.obs.level = obs::ObsLevel::kCounters;
   options.crowdsky.audit = true;
   options.durability.dir = dir;
-  // Journal-only durability: the resume must replay every paid question.
-  options.durability.checkpoint_every_rounds = 0;
   const auto fresh = RunSkylineQuery(ds, options);
   ASSERT_TRUE(fresh.ok());
   EXPECT_EQ(fresh->obs.CounterOr("journal.replayed_pair_attempts"), 0);

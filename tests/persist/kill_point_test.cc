@@ -76,7 +76,6 @@ int RunChildMode(int argc, char** argv) {
   opt.durability.dir = dir;
   opt.durability.resume = resume;
   opt.durability.sync = persist::SyncMode::kFlush;
-  opt.durability.checkpoint_every_rounds = 3;
   if (fault_rate > 0.0) {
     opt.oracle = OracleKind::kMarketplace;
     opt.marketplace.faults.transient_error_rate = fault_rate;
@@ -98,14 +97,16 @@ int RunChildMode(int argc, char** argv) {
   }
   std::printf(
       "RESULT skyline=%s questions=%lld rounds=%lld retries=%lld "
-      "cost=%.17g replayed=%lld records=%lld torn=%d ckpt=%d\n",
+      "free_lookups=%lld contradictions=%lld cost=%.17g replayed=%lld "
+      "records=%lld torn=%d\n",
       skyline.c_str(), static_cast<long long>(r->algo.questions),
       static_cast<long long>(r->algo.rounds),
-      static_cast<long long>(r->algo.retries), r->cost_usd,
+      static_cast<long long>(r->algo.retries),
+      static_cast<long long>(r->algo.free_lookups),
+      static_cast<long long>(r->algo.contradictions), r->cost_usd,
       static_cast<long long>(r->durability.replayed_pair_attempts),
       static_cast<long long>(r->durability.journal_records),
-      r->durability.recovered_torn_tail ? 1 : 0,
-      r->durability.used_checkpoint ? 1 : 0);
+      r->durability.recovered_torn_tail ? 1 : 0);
   return 0;
 }
 
@@ -186,8 +187,9 @@ std::vector<long> SeededOffsets(uint64_t seed, long records, int count) {
 }
 
 void ExpectSameResult(const ChildRun& base, const ChildRun& got) {
-  for (const char* key :
-       {"skyline", "questions", "rounds", "retries", "cost", "records"}) {
+  for (const char* key : {"skyline", "questions", "rounds", "retries",
+                          "free_lookups", "contradictions", "cost",
+                          "records"}) {
     EXPECT_EQ(ResultField(got, key), ResultField(base, key)) << key;
   }
 }

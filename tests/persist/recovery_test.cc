@@ -14,7 +14,6 @@
 
 #include "core/engine.h"
 #include "data/generator.h"
-#include "persist/checkpoint.h"
 #include "persist/journal.h"
 #include "testing/temp_dir.h"
 
@@ -44,7 +43,6 @@ EngineOptions DurableOptions(Algorithm algo, const std::string& dir,
   opt.seed = 99;
   opt.crowdsky.audit = true;
   opt.durability.dir = dir;
-  opt.durability.checkpoint_every_rounds = 2;
   if (with_faults) {
     opt.oracle = OracleKind::kMarketplace;
     opt.marketplace.faults.transient_error_rate = 0.08;
@@ -78,6 +76,8 @@ void ExpectSameOutcome(const EngineResult& base, const EngineResult& got) {
   EXPECT_EQ(got.algo.retries, base.algo.retries);
   EXPECT_EQ(got.algo.failed_attempts, base.algo.failed_attempts);
   EXPECT_EQ(got.algo.degraded_quorum, base.algo.degraded_quorum);
+  EXPECT_EQ(got.algo.free_lookups, base.algo.free_lookups);
+  EXPECT_EQ(got.algo.contradictions, base.algo.contradictions);
   EXPECT_EQ(got.algo.questions_per_round, base.algo.questions_per_round);
   EXPECT_EQ(got.cost_usd, base.cost_usd);  // bit-identical, not NEAR
   EXPECT_EQ(got.accuracy.precision, base.accuracy.precision);
@@ -156,7 +156,10 @@ TEST_P(RecoveryTest, JournalOnlyResumeWorksWithoutCheckpoints) {
   const Dataset data = SmallDataset();
   const std::string dir = FreshDir("recovery_nockpt");
   EngineOptions opt = DurableOptions(GetParam(), dir);
-  opt.durability.checkpoint_every_rounds = 0;  // journal-only durability
+  // A checkpoint file left by an older build is removed with the journal
+  // it described, and nothing writes a new one.
+  std::filesystem::create_directories(dir);
+  std::ofstream(persist::CheckpointPath(dir)) << "stale";
   const auto base = RunSkylineQuery(data, opt);
   ASSERT_TRUE(base.ok()) << base.status().ToString();
   EXPECT_FALSE(
@@ -167,32 +170,35 @@ TEST_P(RecoveryTest, JournalOnlyResumeWorksWithoutCheckpoints) {
   const auto resumed = RunSkylineQuery(data, resume_opt);
   ASSERT_TRUE(resumed.ok()) << resumed.status().ToString();
   ExpectSameOutcome(*base, *resumed);
-  EXPECT_FALSE(resumed->durability.used_checkpoint);
   EXPECT_GT(resumed->durability.replayed_pair_attempts, 0);
+  EXPECT_FALSE(
+      std::filesystem::exists(persist::CheckpointPath(dir)));
 }
 
-TEST_P(RecoveryTest, CheckpointSkipsTheFoldedPrefix) {
-  const Dataset data = SmallDataset();
-  const std::string dir = FreshDir("recovery_ckpt");
+// One worker per question and no transitivity lookups: the drivers ask
+// pairs the preference tree already implies, noisy answers contradict it,
+// and a resume must reject exactly the answers the original run rejected.
+TEST_P(RecoveryTest, ResumeWithOneNoisyWorkerKeepsContradictions) {
+  const Dataset data = SmallDataset(5);
+  const std::string dir = FreshDir("recovery_noisy");
   EngineOptions opt = DurableOptions(GetParam(), dir);
-  opt.durability.checkpoint_every_rounds = 1;
+  opt.workers_per_question = 1;
+  opt.crowdsky.pruning = PruningConfig::P1();
   const auto base = RunSkylineQuery(data, opt);
   ASSERT_TRUE(base.ok()) << base.status().ToString();
-  auto ckpt = persist::ReadCheckpoint(persist::CheckpointPath(dir));
-  ASSERT_TRUE(ckpt.ok()) << ckpt.status().ToString();
-  ASSERT_GT(ckpt->journal_records, 0);
-  ASSERT_LE(ckpt->journal_records, base->durability.journal_records);
-  // Crash right at the checkpoint's coverage so the resume can use it
-  // (the last checkpoint of a *completed* run typically covers the whole
-  // journal; mid-run checkpoints are exercised by the kill-point
-  // harness, where the crash interrupts the run for real).
-  CrashAfter(dir, static_cast<size_t>(ckpt->journal_records));
-  EngineOptions resume_opt = opt;
-  resume_opt.durability.resume = true;
-  const auto resumed = RunSkylineQuery(data, resume_opt);
-  ASSERT_TRUE(resumed.ok()) << resumed.status().ToString();
-  ExpectSameOutcome(*base, *resumed);
-  EXPECT_TRUE(resumed->durability.used_checkpoint);
+  ASSERT_GT(base->algo.contradictions, 0)
+      << "no contradictions at one worker; test is vacuous";
+  const int64_t total = base->durability.journal_records;
+  for (const int64_t keep : {total / 4, total / 2, total - 1}) {
+    SCOPED_TRACE("crash after record " + std::to_string(keep));
+    ASSERT_TRUE(RunSkylineQuery(data, opt).ok());
+    CrashAfter(dir, static_cast<size_t>(keep));
+    EngineOptions resume_opt = opt;
+    resume_opt.durability.resume = true;
+    const auto resumed = RunSkylineQuery(data, resume_opt);
+    ASSERT_TRUE(resumed.ok()) << resumed.status().ToString();
+    ExpectSameOutcome(*base, *resumed);
+  }
 }
 
 TEST_P(RecoveryTest, TornTailIsRecoveredOnResume) {
@@ -239,6 +245,18 @@ TEST(RecoveryGuardTest, ResumeRequiresADirectory) {
                   .IsInvalidArgument());
 }
 
+TEST(RecoveryGuardTest, NonzeroCheckpointCadenceIsRefused) {
+  for (const int cadence : {1, 8, -1}) {
+    EngineOptions opt = DurableOptions(Algorithm::kCrowdSkySerial,
+                                       FreshDir("recovery_cadence"));
+    opt.durability.checkpoint_every_rounds = cadence;
+    EXPECT_TRUE(RunSkylineQuery(SmallDataset(), opt)
+                    .status()
+                    .IsInvalidArgument())
+        << cadence;
+  }
+}
+
 TEST(RecoveryGuardTest, ForeignFingerprintIsRefused) {
   const Dataset data = SmallDataset();
   const std::string dir = FreshDir("recovery_fingerprint");
@@ -254,7 +272,6 @@ TEST(RecoveryGuardTest, ForeignFingerprintIsRefused) {
   EngineOptions relaxed = opt;
   relaxed.durability.resume = true;
   relaxed.crowdsky.audit = false;
-  relaxed.durability.checkpoint_every_rounds = 1;
   relaxed.durability.sync = persist::SyncMode::kBuffered;
   EXPECT_TRUE(RunSkylineQuery(data, relaxed).ok());
 }
