@@ -9,9 +9,9 @@
 //                            paper's formula with its own effective
 //                            pricing — packing saves the *service* money,
 //                            never alters what a query's run reports
-//   service.routing          every registered question slot produced
-//                            exactly one answer routed back to the asking
-//                            query (no lost or cross-delivered answers)
+//   service.routing          the per-query slot counts sum to the slots
+//                            the ledger dispatched: no slot is billed to
+//                            a query the report does not list
 //   service.round_alignment  each query's sequence of per-epoch slot
 //                            counts is exactly its questions_per_round
 //                            vector: round k of the query rode epoch k of
@@ -49,8 +49,6 @@ struct ServicePackingSnapshot {
     double reported_cost_usd = 0.0;
     /// Question slots the packer registered for this query.
     int64_t slots = 0;
-    /// Answers the packer routed back to this query.
-    int64_t routed_answers = 0;
   };
   std::vector<Query> queries;
 

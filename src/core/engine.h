@@ -111,20 +111,19 @@ struct EngineOptions {
   std::vector<ImportedAnswer> imported_answers;
 
   /// Invoked after every closed crowd round with the total rounds closed so
-  /// far. Out-of-process progress reporting hook (shard heartbeats) and the
-  /// multi-query service's round barrier; must not touch the session (it
-  /// may block). Excluded from the fingerprint.
+  /// far. Out-of-process progress reporting hook (shard heartbeats); the
+  /// multi-query service calls a query's callback from its epoch replay
+  /// instead of passing it to the engine. Must not touch the session.
+  /// Excluded from the fingerprint.
   std::function<void(int64_t)> round_callback;
 
-  /// Dispatch seam for the multi-query service (src/service): when set,
-  /// the engine hands the oracle it just built to this hook and talks to
-  /// the returned wrapper instead. The wrapper must be *transparent* —
-  /// forward every call to the inner oracle unchanged, in order, and
-  /// mirror its stats — so the run stays bit-identical to an unwrapped
-  /// run; it may additionally observe each paid attempt (that is how the
-  /// service's HitPacker assigns cross-query HIT slots and routes answers
-  /// back to the asking query). Excluded from the fingerprint for the
-  /// same reason round_callback is: pure observation.
+  /// Oracle observation seam: when set, the engine hands the oracle it
+  /// just built to this hook and talks to the returned wrapper instead.
+  /// The wrapper must be *transparent* — forward every call to the inner
+  /// oracle unchanged, in order, and mirror its stats — so the run stays
+  /// bit-identical to an unwrapped run; it may additionally observe or
+  /// time each paid attempt. Excluded from the fingerprint for the same
+  /// reason round_callback is: pure observation.
   std::function<std::unique_ptr<CrowdOracle>(std::unique_ptr<CrowdOracle>)>
       wrap_oracle;
 

@@ -4,17 +4,14 @@
 
 namespace crowdsky::service {
 
-void HitPacker::RegisterSlot(int query_id, const AmtCostModel& pricing) {
+void HitPacker::RegisterSlot(int query_id, const AmtCostModel& pricing,
+                             int64_t slots) {
   CROWDSKY_CHECK(query_id >= 0);
   CROWDSKY_CHECK(pricing.questions_per_hit > 0);
-  ++open_[pricing][query_id];
-  ++slots_per_query_[query_id];
-  ++slots_total_;
-}
-
-void HitPacker::RouteAnswer(int query_id) {
-  CROWDSKY_CHECK(query_id >= 0);
-  ++routed_per_query_[query_id];
+  CROWDSKY_CHECK(slots > 0);
+  open_[pricing][query_id] += slots;
+  slots_per_query_[query_id] += slots;
+  slots_total_ += slots;
 }
 
 int64_t HitPacker::CloseEpoch() {
@@ -64,11 +61,6 @@ double HitPacker::isolated_cost_usd() const {
 int64_t HitPacker::slots_for_query(int query_id) const {
   const auto it = slots_per_query_.find(query_id);
   return it == slots_per_query_.end() ? 0 : it->second;
-}
-
-int64_t HitPacker::routed_for_query(int query_id) const {
-  const auto it = routed_per_query_.find(query_id);
-  return it == routed_per_query_.end() ? 0 : it->second;
 }
 
 }  // namespace crowdsky::service

@@ -8,17 +8,15 @@
 // *epoch* (the service's global round) instead of once per query.
 //
 // Determinism contract: the packed ledger is a pure function of the
-// per-query round profiles and the admission schedule, never of thread
-// timing. Slots are registered per paid attempt as (query id, arrival
-// order within the query); at epoch close the packer aggregates them as
-// per-query counts inside each *pack class* (identical pricing: reward,
-// ω, questions_per_hit — questions with different pricing can never share
-// a HIT), iterated in (pack class, query id) order. The greedy fill is
-// keyed by (query id, per-query sequence), so any thread interleaving of
-// registrations produces the identical packing.
+// per-query round profiles and the admission schedule. Slots are
+// registered per query as counts; at epoch close the packer aggregates
+// them inside each *pack class* (identical pricing: reward, ω,
+// questions_per_hit — questions with different pricing can never share a
+// HIT), iterated in (pack class, query id) order, so the order in which
+// queries register within an epoch never changes the packing.
 //
-// The packer is not thread-safe by itself: the scheduler (service.cc)
-// serializes every call under its admission mutex.
+// The packer is not thread-safe: the service's epoch replay (service.cc)
+// drives it from the caller's thread alone.
 #pragma once
 
 #include <cstdint>
@@ -69,21 +67,15 @@ class HitPacker {
   HitPacker() = default;
   CROWDSKY_DISALLOW_COPY(HitPacker);
 
-  /// Registers one paid question slot (a pair attempt or a unary
-  /// question) for `query_id` in the open epoch, priced by the query's
+  /// Registers `slots` paid question slots (pair attempts or unary
+  /// questions) for `query_id` in the open epoch, priced by the query's
   /// effective cost model.
-  void RegisterSlot(int query_id, const AmtCostModel& pricing);
-
-  /// Records that the answer produced for a registered slot was returned
-  /// to `query_id` — the demultiplex half of the dispatch. The service
-  /// auditor proves routed == registered per query, so a misrouted answer
-  /// is a detectable accounting violation rather than silent corruption.
-  void RouteAnswer(int query_id);
+  void RegisterSlot(int query_id, const AmtCostModel& pricing,
+                    int64_t slots = 1);
 
   /// Closes the open epoch: greedily fills HITs per pack class and
   /// appends one EpochClassSpan per non-empty class. An epoch with no
-  /// registered slots closes without a trace (free barrier generations —
-  /// e.g. every remaining query finishing mid-epoch — cost nothing).
+  /// registered slots closes without a trace and costs nothing.
   /// Returns the HITs packed in this epoch.
   int64_t CloseEpoch();
 
@@ -108,16 +100,13 @@ class HitPacker {
 
   /// Slots registered for one query across all epochs (0 if unknown id).
   int64_t slots_for_query(int query_id) const;
-  /// Answers routed back to one query.
-  int64_t routed_for_query(int query_id) const;
 
  private:
   /// Open epoch: pack class -> query id -> slots. std::map keeps every
-  /// iteration deterministic regardless of registration interleaving.
+  /// iteration deterministic regardless of registration order.
   std::map<AmtCostModel, std::map<int, int64_t>, PackClassLess> open_;
   std::vector<EpochClassSpan> spans_;
   std::map<int, int64_t> slots_per_query_;
-  std::map<int, int64_t> routed_per_query_;
   int64_t epochs_ = 0;
   int64_t slots_total_ = 0;
   int64_t packed_hits_ = 0;

@@ -15,11 +15,13 @@ namespace crowdsky::service {
 
 /// One query submitted to the service: a dataset plus the full per-query
 /// engine configuration (algorithm, oracle, seed, governor, ...). The
-/// dataset must outlive RunService. `options.wrap_oracle`,
-/// `options.round_callback` and `options.durability` must be unset — the
-/// service owns the dispatch seam and the round barrier, and a resumed
-/// journal replay cannot pass through a packing wrapper (the engine
-/// rejects that combination).
+/// dataset must outlive RunService. `options.wrap_oracle` and
+/// `options.durability` must be unset: a resumed run's round profile
+/// holds its journal-replayed rounds, which the service would bill again.
+/// `options.round_callback` is honoured, but from the service's epoch
+/// replay rather than the engine run: once per round with the query's
+/// round count, on the caller's thread, and every call of epoch e before
+/// any call of epoch e+1.
 struct ServiceQuery {
   const Dataset* dataset = nullptr;
   EngineOptions options;
@@ -29,8 +31,8 @@ struct ServiceQuery {
 
 /// Service-level knobs (per-query knobs live in ServiceQuery::options).
 struct ServiceOptions {
-  /// Queries running at once; each active query gets a dedicated driver
-  /// thread that blocks at the epoch barrier between crowd rounds.
+  /// Queries that share each epoch: at most this many queries' rounds are
+  /// packed together, and a queued query joins only when one leaves.
   int max_concurrent = 4;
   /// Submissions beyond max_concurrent wait in an admission queue of this
   /// length; once it is full, further submissions are *rejected* in
@@ -65,8 +67,8 @@ struct QueryOutcome {
   /// The governor dollar cap this query ran under after budget slicing
   /// (0 = no cap applied).
   double budget_slice_usd = 0.0;
-  /// Paid question slots this query contributed to packed HITs (== its
-  /// Σ questions_per_round when the run succeeded).
+  /// Paid question slots this query contributed to packed HITs: its
+  /// Σ questions_per_round when the run succeeded, 0 when it failed.
   int64_t slots = 0;
   /// HITs this query's rounds would have cost in isolation.
   int64_t isolated_hits = 0;

@@ -2,19 +2,14 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <deque>
 #include <memory>
 #include <string>
-#include <thread>
 #include <utility>
 #include <vector>
 
 #include "audit/service_audit.h"
 #include "common/macros.h"
-#include "common/mutex.h"
-#include "common/thread_annotations.h"
 #include "core/engine.h"
-#include "crowd/oracle.h"
 #include "obs/observer.h"
 #include "service/hit_packer.h"
 
@@ -48,15 +43,16 @@ AmtCostModel EffectivePricing(const EngineOptions& options) {
 
 /// \brief The scheduler behind one RunService call.
 ///
-/// Epoch barrier protocol: every *active* query contributes exactly one
-/// closed crowd round per epoch. A driver arriving at the barrier (from
-/// the engine's round_callback) blocks until the epoch closes; the epoch
-/// closes when every active query has either arrived or finished. A
-/// finishing query therefore counts as an arrival — epoch E cannot close
-/// while a query that will finish during E is still running — which makes
-/// the epoch at which each query finishes (and hence each admission from
-/// the queue, and hence the entire packing ledger) a pure function of the
-/// submission list, independent of thread timing.
+/// Every admitted query runs to completion, one after another on the
+/// caller's thread, and the epochs are then replayed from the results. A
+/// query bills exactly its questions_per_round, one round per epoch, so
+/// the packing ledger depends only on the round profiles and the
+/// admission order: an active list is seeded with the first
+/// max_concurrent queries; in each epoch every active query registers its
+/// next round's slots, then the epoch closes. A query leaves at the epoch
+/// after its last round, and the head of the queue joins that same epoch.
+/// A failed query has no result and so an empty profile: it frees its
+/// place at once and bills nothing.
 class Scheduler {
  public:
   Scheduler(const std::vector<ServiceQuery>& queries,
@@ -66,27 +62,10 @@ class Scheduler {
 
   Status Run(ServiceReport* report);
 
-  // Dispatch-wrapper callbacks, invoked synchronously from query driver
-  // threads on every paid question.
-  void RegisterSlot(int query_id, const AmtCostModel& pricing) {
-    MutexLock lock(mutex_);
-    packer_.RegisterSlot(query_id, pricing);
-  }
-  void RouteAnswer(int query_id) {
-    MutexLock lock(mutex_);
-    packer_.RouteAnswer(query_id);
-  }
-
-  /// Round-callback hook: the calling query closed one crowd round.
-  void ArriveAtRoundBarrier();
-
  private:
-  /// Thread body of one admitted query.
-  void RunQuery(int query_id);
-  void FinishQuery(int query_id, Result<EngineResult> run);
-  void AdmitLocked(int query_id) CROWDSKY_REQUIRES(mutex_);
-  void CloseEpochLocked() CROWDSKY_REQUIRES(mutex_);
-
+  void RunQuery(int query_id, QueryOutcome* outcome);
+  void ReplayEpochs(const std::vector<int>& admitted,
+                    const ServiceReport& report);
   void FillLedger(ServiceReport* report);
   Status AuditRun(const ServiceReport& report);
 
@@ -94,167 +73,79 @@ class Scheduler {
   const ServiceOptions& options_;
   obs::RunObserver* observer_;  // null at ObsLevel::kDisabled
 
-  /// Written before any thread is spawned, immutable afterwards.
   double budget_slice_usd_ = 0.0;
+  HitPacker packer_;
   int admitted_total_ = 0;
-  ServiceReport* report_ = nullptr;
-
-  Mutex mutex_;
-  CondVar cv_;
-  HitPacker packer_ CROWDSKY_GUARDED_BY(mutex_);
-  std::deque<int> queue_ CROWDSKY_GUARDED_BY(mutex_);
-  std::vector<std::thread> threads_ CROWDSKY_GUARDED_BY(mutex_);
-  int64_t epoch_ CROWDSKY_GUARDED_BY(mutex_) = 0;
-  int active_ CROWDSKY_GUARDED_BY(mutex_) = 0;
-  int arrived_ CROWDSKY_GUARDED_BY(mutex_) = 0;
-  int finished_ CROWDSKY_GUARDED_BY(mutex_) = 0;
-  int completed_ CROWDSKY_GUARDED_BY(mutex_) = 0;
-  int failed_ CROWDSKY_GUARDED_BY(mutex_) = 0;
-  int rejected_ CROWDSKY_GUARDED_BY(mutex_) = 0;
+  int completed_ = 0;
+  int failed_ = 0;
+  int rejected_ = 0;
 };
 
-/// \brief Transparent per-query dispatch wrapper (EngineOptions::
-/// wrap_oracle contract): forwards every call to the query's own oracle
-/// unchanged and synchronously, mirrors its stats, and reports each paid
-/// question to the scheduler as a HIT slot plus a routed answer. It holds
-/// no answer state of its own, so it cannot change what the query
-/// computes — only what the service knows about it.
-class PackedDispatchOracle : public CrowdOracle {
- public:
-  PackedDispatchOracle(std::unique_ptr<CrowdOracle> inner,
-                       Scheduler* scheduler, int query_id,
-                       const AmtCostModel& pricing)
-      : inner_(std::move(inner)),
-        scheduler_(scheduler),
-        query_id_(query_id),
-        pricing_(pricing) {}
-
-  Answer AnswerPair(const PairQuestion& q, const AskContext& ctx) override {
-    // Paid attempts go through AnswerPairOutcome (the CrowdSession
-    // contract); plain AnswerPair stays a transparent forward for any
-    // other caller.
-    const Answer answer = inner_->AnswerPair(q, ctx);
-    stats_ = inner_->stats();
-    return answer;
-  }
-
-  PairOutcome AnswerPairOutcome(const PairQuestion& q,
-                                const AskContext& ctx) override {
-    scheduler_->RegisterSlot(query_id_, pricing_);
-    PairOutcome outcome = inner_->AnswerPairOutcome(q, ctx);
-    stats_ = inner_->stats();
-    scheduler_->RouteAnswer(query_id_);
-    return outcome;
-  }
-
-  double AnswerUnary(int id, int attr, const AskContext& ctx) override {
-    scheduler_->RegisterSlot(query_id_, pricing_);
-    const double value = inner_->AnswerUnary(id, attr, ctx);
-    stats_ = inner_->stats();
-    scheduler_->RouteAnswer(query_id_);
-    return value;
-  }
-
-  const FaultInjector* fault_injector() const override {
-    return inner_->fault_injector();
-  }
-
- private:
-  std::unique_ptr<CrowdOracle> inner_;
-  Scheduler* scheduler_;
-  int query_id_;
-  AmtCostModel pricing_;
-};
-
-void Scheduler::ArriveAtRoundBarrier() {
-  MutexLock lock(mutex_);
-  const int64_t my_epoch = epoch_;
-  ++arrived_;
-  if (arrived_ == active_) {
-    CloseEpochLocked();
-  } else {
-    while (epoch_ == my_epoch) cv_.Wait(mutex_);
-  }
-}
-
-void Scheduler::CloseEpochLocked() {
-  packer_.CloseEpoch();
-  arrived_ = 0;
-  ++epoch_;
-  cv_.NotifyAll();
-}
-
-void Scheduler::AdmitLocked(int query_id) {
-  ++active_;
-  report_->queries[Idx(query_id)].admitted = true;
-  threads_.emplace_back(&Scheduler::RunQuery, this, query_id);
-}
-
-void Scheduler::RunQuery(int query_id) {
-  const ServiceQuery& query = queries_[Idx(query_id)];
-  QueryOutcome& outcome = report_->queries[Idx(query_id)];
-
-  EngineOptions options = query.options;
-  const AmtCostModel pricing = EffectivePricing(options);
+void Scheduler::RunQuery(int query_id, QueryOutcome* outcome) {
+  EngineOptions options = queries_[Idx(query_id)].options;
   if (budget_slice_usd_ > 0.0 && IsCrowdSkyFamily(options.algorithm)) {
     const double own_cap = options.governor.max_cost_usd;
     options.governor.max_cost_usd =
         own_cap > 0.0 ? std::min(own_cap, budget_slice_usd_)
                       : budget_slice_usd_;
-    outcome.budget_slice_usd = options.governor.max_cost_usd;
+    outcome->budget_slice_usd = options.governor.max_cost_usd;
   }
-  options.wrap_oracle = [this, query_id,
-                         pricing](std::unique_ptr<CrowdOracle> inner)
-      -> std::unique_ptr<CrowdOracle> {
-    return std::make_unique<PackedDispatchOracle>(std::move(inner), this,
-                                                  query_id, pricing);
-  };
-  const std::function<void(int64_t)> user_callback =
-      query.options.round_callback;
-  options.round_callback = [this, user_callback](int64_t rounds) {
-    if (user_callback) user_callback(rounds);
-    ArriveAtRoundBarrier();
-  };
+  // The query's own callback fires from the epoch replay, in epoch order.
+  options.round_callback = nullptr;
 
   auto span = obs::SpanIf(observer_, "service.query");
-  Result<EngineResult> run = RunSkylineQuery(*query.dataset, options);
+  Result<EngineResult> run = RunSkylineQuery(*queries_[Idx(query_id)].dataset,
+                                             options);
   span.End();
-  FinishQuery(query_id, std::move(run));
-}
-
-void Scheduler::FinishQuery(int query_id, Result<EngineResult> run) {
-  MutexLock lock(mutex_);
-  QueryOutcome& outcome = report_->queries[Idx(query_id)];
+  outcome->admitted = true;
   if (run.ok()) {
-    outcome.result = std::move(run).ValueOrDie();
-    outcome.status = Status::OK();
-    // Every paid question of the run was packed, one slot per attempt:
-    // the per-round ledger and the packer must agree exactly.
-    int64_t asked = 0;
-    for (const int64_t q : outcome.result.algo.questions_per_round) {
-      asked += q;
-    }
-    CROWDSKY_CHECK_MSG(packer_.slots_for_query(query_id) == asked,
-                       "service packer lost or invented question slots");
+    outcome->result = std::move(run).ValueOrDie();
+    outcome->status = Status::OK();
     ++completed_;
   } else {
-    outcome.status = run.status();
+    outcome->status = run.status();
     ++failed_;
   }
-  --active_;
-  ++finished_;
-  if (!queue_.empty()) {
-    const int next = queue_.front();
-    queue_.pop_front();
-    AdmitLocked(next);
+}
+
+void Scheduler::ReplayEpochs(const std::vector<int>& admitted,
+                             const ServiceReport& report) {
+  // A failed query keeps a default result: its profile is empty.
+  const auto rounds = [&](int query_id) -> const std::vector<int64_t>& {
+    return report.queries[Idx(query_id)].result.algo.questions_per_round;
+  };
+  struct Active {
+    int query_id;
+    size_t round;  // next round to bill
+  };
+  std::vector<Active> active;
+  size_t next = 0;
+  while (true) {
+    // Leavers free their places and the queue head joins this same epoch;
+    // a joiner with no rounds leaves again at once.
+    std::erase_if(active, [&](const Active& a) {
+      return a.round == rounds(a.query_id).size();
+    });
+    while (static_cast<int>(active.size()) < options_.max_concurrent &&
+           next < admitted.size()) {
+      const int query_id = admitted[next++];
+      if (!rounds(query_id).empty()) active.push_back({query_id, 0});
+    }
+    if (active.empty()) break;
+    for (Active& a : active) {
+      const EngineOptions& options = queries_[Idx(a.query_id)].options;
+      packer_.RegisterSlot(a.query_id, EffectivePricing(options),
+                           rounds(a.query_id)[a.round]);
+      ++a.round;
+      if (options.round_callback) {
+        options.round_callback(static_cast<int64_t>(a.round));
+      }
+    }
+    packer_.CloseEpoch();
   }
-  // This finish may have been the arrival the open epoch was waiting for.
-  if (active_ > 0 && arrived_ == active_) CloseEpochLocked();
-  cv_.NotifyAll();
 }
 
 Status Scheduler::Run(ServiceReport* report) {
-  report_ = report;
   const int n = static_cast<int>(queries_.size());
   report->queries.resize(Idx(n));
   for (int i = 0; i < n; ++i) {
@@ -263,36 +154,29 @@ Status Scheduler::Run(ServiceReport* report) {
     outcome.label = QueryLabel(queries_[Idx(i)], i);
   }
 
-  auto run_span = obs::SpanIf(observer_, "service.run");
-  {
-    MutexLock lock(mutex_);
-    const int admit_now = std::min(options_.max_concurrent, n);
-    for (int i = admit_now; i < n; ++i) {
-      if (options_.max_queue < 0 ||
-          static_cast<int>(queue_.size()) < options_.max_queue) {
-        queue_.push_back(i);
-      } else {
-        report->queries[Idx(i)].status = Status::BudgetExhausted(
-            "service admission queue full (max_concurrent=" +
-            std::to_string(options_.max_concurrent) +
-            ", max_queue=" + std::to_string(options_.max_queue) + ")");
-        ++rejected_;
-      }
+  // The first max_concurrent queries start at once and the next max_queue
+  // wait their turn; the rest are turned away in submission order.
+  std::vector<int> admitted;
+  for (int i = 0; i < n; ++i) {
+    if (i < options_.max_concurrent || options_.max_queue < 0 ||
+        i - options_.max_concurrent < options_.max_queue) {
+      admitted.push_back(i);
+    } else {
+      report->queries[Idx(i)].status = Status::BudgetExhausted(
+          "service admission queue full (max_concurrent=" +
+          std::to_string(options_.max_concurrent) +
+          ", max_queue=" + std::to_string(options_.max_queue) + ")");
+      ++rejected_;
     }
-    // Every non-rejected query is eventually admitted (each finish drains
-    // the queue head), so the budget denominator is known up front.
-    admitted_total_ = n - rejected_;
-    if (options_.total_budget_usd > 0.0 && admitted_total_ > 0) {
-      budget_slice_usd_ = options_.total_budget_usd / admitted_total_;
-    }
-    for (int i = 0; i < admit_now; ++i) AdmitLocked(i);
-    while (finished_ < admitted_total_) cv_.Wait(mutex_);
-    // Drivers close their final round at the barrier before returning, so
-    // the packer is normally flush; a query that died mid-round must not
-    // strand its siblings' open slots.
-    if (packer_.open_epoch_nonempty()) CloseEpochLocked();
-    for (std::thread& thread : threads_) thread.join();
   }
+  admitted_total_ = static_cast<int>(admitted.size());
+  if (options_.total_budget_usd > 0.0 && admitted_total_ > 0) {
+    budget_slice_usd_ = options_.total_budget_usd / admitted_total_;
+  }
+
+  auto run_span = obs::SpanIf(observer_, "service.run");
+  for (const int id : admitted) RunQuery(id, &report->queries[Idx(id)]);
+  ReplayEpochs(admitted, *report);
   run_span.End();
 
   FillLedger(report);
@@ -301,7 +185,6 @@ Status Scheduler::Run(ServiceReport* report) {
 }
 
 void Scheduler::FillLedger(ServiceReport* report) {
-  MutexLock lock(mutex_);
   PackingLedger& ledger = report->packing;
   ledger.epochs = packer_.epochs();
   ledger.slots = packer_.slots_total();
@@ -352,17 +235,13 @@ Status Scheduler::AuditRun(const ServiceReport& report) {
                          "rejected query reached the packer");
       continue;
     }
-    if (!outcome.status.ok()) continue;  // failed at validation, no slots
+    if (!outcome.status.ok()) continue;  // failed: an empty profile
     audit::ServicePackingSnapshot::Query query;
     query.query_id = outcome.query_id;
     query.cost_model = EffectivePricing(queries_[Idx(outcome.query_id)].options);
     query.questions_per_round = outcome.result.algo.questions_per_round;
     query.reported_cost_usd = outcome.result.cost_usd;
     query.slots = outcome.slots;
-    query.routed_answers = [&] {
-      MutexLock lock(mutex_);
-      return packer_.routed_for_query(outcome.query_id);
-    }();
     snapshot.queries.push_back(std::move(query));
   }
   for (const EpochClassSpan& span : report.spans) {
@@ -407,13 +286,14 @@ Status ValidateService(const std::vector<ServiceQuery>& queries,
     }
     if (queries[i].options.wrap_oracle) {
       return Status::InvalidArgument(
-          tag + "wrap_oracle is owned by the service dispatch path");
+          tag + "wrap_oracle is not supported under the service: every "
+                "billed round must be asked of the query's own oracle");
     }
     if (!queries[i].options.durability.dir.empty()) {
       return Status::InvalidArgument(
-          tag + "durability is not supported under the service: a journal "
-                "resume re-drives the oracle and would register phantom "
-                "HIT slots through the dispatch wrapper");
+          tag + "durability is not supported under the service: a resumed "
+                "run's questions_per_round holds its journal-replayed "
+                "rounds, which the epoch replay would bill again");
     }
   }
   return Status::OK();

@@ -1,21 +1,20 @@
-// Multi-query crowd service: many concurrent skyline queries, one shared
-// crowd, cross-query HIT packing.
+// Multi-query crowd service: many queries, one shared crowd, cross-query
+// HIT packing.
 //
-// RunService admits up to ServiceOptions::max_concurrent queries at once
-// (the rest wait in a bounded queue), runs each on a dedicated driver
-// thread through the ordinary engine, and intercepts every paid question
-// at the oracle boundary with a transparent dispatch wrapper. Between
-// crowd rounds the drivers meet at an *epoch barrier*: all questions the
-// active queries asked in the epoch are packed into shared HITs (per pack
-// class — identical effective pricing), and the service ledger records
-// what the sharing saved versus isolated per-query rounds.
+// RunService admits up to ServiceOptions::max_concurrent queries into each
+// epoch (the rest wait in a bounded queue), runs every admitted query to
+// completion through the ordinary engine, one after another on the
+// caller's thread, and then replays the epochs from the results: in each
+// epoch every active query contributes its next crowd round, and all
+// questions of the epoch are packed into shared HITs (per pack class —
+// identical effective pricing). The service ledger records what the
+// sharing saved versus isolated per-query rounds.
 //
 // Determinism: per-query results are bit-identical to running the same
 // query alone — each query keeps its own oracle, random streams and
-// session, and the wrapper forwards synchronously on the query's own
-// thread — and the packing ledger itself is a pure function of the
-// submission list and ServiceOptions, independent of thread interleaving
-// (see DESIGN.md "Multi-query service & HIT packing" for the argument).
+// session — and the packing ledger is a pure function of the submission
+// list and ServiceOptions (see DESIGN.md "Multi-query service & HIT
+// packing" for the replay rule).
 #pragma once
 
 #include <vector>
@@ -27,8 +26,8 @@ namespace crowdsky::service {
 
 /// Runs every submitted query to completion (or rejection) and returns
 /// the per-query outcomes plus the service packing ledger. Fails on
-/// invalid service options or on a query that pre-configures the
-/// engine seams the service owns (wrap_oracle, durability).
+/// invalid service options or on a query that sets wrap_oracle or
+/// durability (see ServiceQuery).
 Result<ServiceReport> RunService(const std::vector<ServiceQuery>& queries,
                                  const ServiceOptions& options = {});
 

@@ -47,9 +47,11 @@ struct GoldenRow {
 // Pinned from the build whose session copied its ledgers into live
 // counters; publishing them from the ledgers at scrape time reproduces
 // every row. The free_lookups column was regenerated once a refused ask
-// stopped counting as a free lookup.
+// stopped counting as a free lookup. The service row's Prometheus column was
+// regenerated once each batch query got its own metrics file: they had
+// shared one, so the column pinned whichever query wrote it last.
 const std::vector<GoldenRow> kGolden = {
-    {"service/counters/packed3", 63, 2485296448u, 1900987623u, 520},
+    {"service/counters/packed3", 63, 2485296448u, 2443355104u, 520},
     {"CrowdSky/counters/perfect", 17, 602543338u, 624930874u, 310},
     {"CrowdSky/full/perfect", 17, 602543338u, 624930874u, 310},
     {"ParallelDSet/counters/perfect", 17, 946116714u, 2975972165u, 310},
@@ -259,7 +261,8 @@ TEST(ObsGoldenServiceTest, PackedBatch) {
     q.options.seed = 21 + i;
     q.options.marketplace.faults.transient_error_rate = 0.1;
     q.options.obs.level = obs::ObsLevel::kCounters;
-    q.options.obs.metrics_path = testing::FreshTempPath("obs_golden.prom");
+    q.options.obs.metrics_path =
+        testing::FreshTempPath("obs_golden_q" + std::to_string(i) + ".prom");
     metrics_paths.push_back(q.options.obs.metrics_path);
     batch.push_back(std::move(q));
   }

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "audit/service_audit.h"
@@ -107,17 +108,17 @@ TEST(HitPackerTest, PerQueryLedgers) {
   HitPacker packer;
   const AmtCostModel amt = Pricing(0.02, 5, 5);
   packer.RegisterSlot(3, amt);
-  packer.RouteAnswer(3);
   packer.RegisterSlot(3, amt);
-  packer.RouteAnswer(3);
   packer.RegisterSlot(7, amt);
   packer.CloseEpoch();
+  packer.RegisterSlot(7, amt, 4);  // one round's count at once
+  packer.CloseEpoch();
   EXPECT_EQ(packer.slots_for_query(3), 2);
-  EXPECT_EQ(packer.routed_for_query(3), 2);
-  EXPECT_EQ(packer.slots_for_query(7), 1);
-  EXPECT_EQ(packer.routed_for_query(7), 0);  // answer still in flight
+  EXPECT_EQ(packer.slots_for_query(7), 5);
   EXPECT_EQ(packer.slots_for_query(99), 0);
-  EXPECT_EQ(packer.routed_for_query(99), 0);
+  EXPECT_EQ(packer.slots_total(), 7);
+  EXPECT_EQ(packer.spans().back().query_slots,
+            (std::vector<std::pair<int, int64_t>>{{7, 4}}));
 }
 
 // --- service.* audit rules on fabricated snapshots ------------------------
@@ -135,7 +136,6 @@ audit::ServicePackingSnapshot ConsistentSnapshot() {
   q0.questions_per_round = {1, 1};
   q0.reported_cost_usd = amt.Cost({1, 1});
   q0.slots = 2;
-  q0.routed_answers = 2;
   snapshot.queries.push_back(q0);
 
   audit::ServicePackingSnapshot::Query q1;
@@ -144,7 +144,6 @@ audit::ServicePackingSnapshot ConsistentSnapshot() {
   q1.questions_per_round = {2, 2};
   q1.reported_cost_usd = amt.Cost({2, 2});
   q1.slots = 4;
-  q1.routed_answers = 4;
   snapshot.queries.push_back(q1);
 
   for (int epoch = 0; epoch < 2; ++epoch) {
@@ -190,9 +189,9 @@ TEST(ServiceAuditTest, FlagsMisreportedQueryCost) {
   EXPECT_TRUE(Violated(report, "service.query_cost")) << report.ToString();
 }
 
-TEST(ServiceAuditTest, FlagsLostAnswer) {
+TEST(ServiceAuditTest, FlagsSlotsOfUnlistedQuery) {
   auto snapshot = ConsistentSnapshot();
-  snapshot.queries[1].routed_answers -= 1;  // an answer never came back
+  snapshot.queries.pop_back();  // query 1's slots stay in the ledger
   audit::AuditReport report;
   audit::AuditServicePacking(snapshot, &report);
   EXPECT_TRUE(Violated(report, "service.routing")) << report.ToString();

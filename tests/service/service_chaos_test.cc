@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "service/service_test_util.h"
+#include "testing/temp_dir.h"
 
 namespace crowdsky::service {
 namespace {
@@ -209,6 +210,53 @@ TEST(ServiceChaosTest, EverythingAtOnce) {
 
   EXPECT_LE(report.packing.packed_hits, report.packing.isolated_hits);
   EXPECT_GE(report.packing.cost_saved_usd, -1e-9);
+}
+
+TEST(ServiceChaosTest, ExportFailureFailsOnlyItsQuery) {
+  // Query 0 pays for every round and then fails to write its metrics
+  // file. A failed query has no result to bill, so it must leave no slot
+  // in the ledger; its siblings keep their isolated results and pack
+  // exactly as if they had been submitted alone.
+  const Dataset d0 = MakeDataset(120, 0x50);
+  const Dataset d1 = MakeDataset(130, 0x51);
+  const Dataset d2 = MakeDataset(140, 0x52);
+
+  std::vector<ServiceQuery> queries;
+  ServiceQuery broken =
+      HealthyQuery(&d0, Algorithm::kCrowdSkySerial, 11, "broken");
+  broken.options.obs.level = obs::ObsLevel::kCounters;
+  broken.options.obs.metrics_path =
+      crowdsky::testing::FreshTempDir("service_export") + "/metrics.prom";
+  queries.push_back(broken);
+  queries.push_back(HealthyQuery(&d1, Algorithm::kCrowdSkySerial, 12, "a"));
+  queries.push_back(HealthyQuery(&d2, Algorithm::kCrowdSkySerial, 13, "b"));
+
+  ServiceOptions options = AuditedOptions();
+  options.max_concurrent = 2;
+  const auto service = RunService(queries, options);
+  ASSERT_TRUE(service.ok()) << service.status().ToString();
+  const ServiceReport& report = *service;
+  EXPECT_EQ(report.completed, 2);
+  EXPECT_EQ(report.failed, 1);
+  const QueryOutcome& hurt = report.queries[0];
+  EXPECT_TRUE(hurt.admitted);
+  EXPECT_TRUE(hurt.status.IsIOError()) << hurt.status.ToString();
+  EXPECT_EQ(hurt.slots, 0);
+  EXPECT_EQ(hurt.isolated_hits, 0);
+
+  ExpectSiblingsUnperturbed(report, queries, {1, 2});
+
+  const auto alone = RunService({queries[1], queries[2]}, options);
+  ASSERT_TRUE(alone.ok()) << alone.status().ToString();
+  const PackingLedger& got = report.packing;
+  const PackingLedger& want = alone->packing;
+  EXPECT_EQ(got.epochs, want.epochs);
+  EXPECT_EQ(got.slots, want.slots);
+  EXPECT_EQ(got.packed_hits, want.packed_hits);
+  EXPECT_EQ(got.isolated_hits, want.isolated_hits);
+  EXPECT_DOUBLE_EQ(got.cost_packed_usd, want.cost_packed_usd);
+  EXPECT_DOUBLE_EQ(got.cost_isolated_usd, want.cost_isolated_usd);
+  EXPECT_LT(got.packed_hits, got.isolated_hits);
 }
 
 }  // namespace

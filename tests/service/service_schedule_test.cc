@@ -3,7 +3,7 @@
 // count or run repetition, and the packing ledger is a pure function of
 // the submission list. Each property is checked under seeded shuffles and
 // CROWDSKY_THREADS ∈ {1, 4}; the suite also runs under the TSan CI leg,
-// where the epoch barrier and the dispatch path get race-checked for real.
+// where the engine's pool threads get race-checked with the service on.
 #include "service/service.h"
 
 #include <gtest/gtest.h>
@@ -11,6 +11,8 @@
 #include <algorithm>
 #include <map>
 #include <string>
+#include <thread>
+#include <tuple>
 #include <vector>
 
 #include "common/random.h"
@@ -174,6 +176,45 @@ INSTANTIATE_TEST_SUITE_P(Threads, ServiceScheduleTest, ::testing::Values(1, 4),
                          [](const ::testing::TestParamInfo<int>& param_info) {
                            return "threads" + std::to_string(param_info.param);
                          });
+
+TEST(ServiceScheduleCallbackTest, RoundCallbacksFollowTheEpochReplay) {
+  // Each query's own round_callback fires once per round with that
+  // query's round count, on the caller's thread, epoch by epoch: every
+  // call of epoch e precedes every call of epoch e+1, and within an epoch
+  // the active queries go in admission order. With one pack class there
+  // is one span per epoch, so the expected sequence reads off the spans.
+  std::vector<Dataset> datasets;
+  std::vector<ServiceQuery> queries = MixedQueries(4, &datasets);
+  using Call = std::tuple<int, int64_t, std::thread::id>;
+  std::vector<Call> calls;
+  for (size_t i = 0; i < queries.size(); ++i) {
+    queries[i].options.round_callback = [&calls, i](int64_t rounds) {
+      calls.emplace_back(static_cast<int>(i), rounds,
+                         std::this_thread::get_id());
+    };
+  }
+  ServiceOptions options = AuditedOptions();
+  options.max_concurrent = 2;  // queued queries join mid-run
+  const auto service = RunService(queries, options);
+  ASSERT_TRUE(service.ok()) << service.status().ToString();
+
+  std::vector<Call> expected;
+  std::map<int, int64_t> rounds;
+  int64_t last_epoch = -1;
+  for (const EpochClassSpan& span : service->spans) {
+    ASSERT_GT(span.epoch, last_epoch) << "one pack class, one span per epoch";
+    last_epoch = span.epoch;
+    for (const auto& [query_id, slots] : span.query_slots) {
+      expected.emplace_back(query_id, ++rounds[query_id],
+                            std::this_thread::get_id());
+    }
+  }
+  EXPECT_EQ(calls, expected);
+  for (const QueryOutcome& outcome : service->queries) {
+    EXPECT_EQ(rounds[outcome.query_id], outcome.result.algo.rounds)
+        << outcome.label;
+  }
+}
 
 }  // namespace
 }  // namespace crowdsky::service
